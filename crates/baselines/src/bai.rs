@@ -55,8 +55,9 @@ mod tests {
 
     #[test]
     fn table1_numbers_reproduce() {
-        // Table I: |A| = 10⁴ m² (see DESIGN.md §3 on units), R* from the
-        // paper's runs → N*. Spot-check the published rows.
+        // Table I: |A| = 10⁴ m² (the paper's "1 km²" does not fit its own
+        // R*/N* pairs; 10⁴ m² does), R* from the paper's runs → N*.
+        // Spot-check the published rows.
         for (r_star, n_star) in [
             (3.035f64, 836.0f64),
             (2.712, 1047.0),

@@ -31,8 +31,7 @@ pub enum ExecutionMode {
     Sequential,
 }
 
-/// How the searching ring bounds a dominating region (paper Fig. 3 and
-/// DESIGN.md §3).
+/// How the searching ring bounds a dominating region (paper Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RingCapPolicy {
     /// Cap by the `ρ/2` disk exactly when the ring check succeeded (the
@@ -70,7 +69,8 @@ pub struct LaacadConfig {
     /// Ring-cap policy for dominating regions.
     pub ring_cap: RingCapPolicy,
     /// Number of vertices of the circumscribed polygon that stands in for
-    /// disk caps (documented approximation, DESIGN.md §3).
+    /// disk caps (circumscribed, so a cap only ever over-estimates a
+    /// region).
     pub cap_vertices: usize,
     /// Coordinate acquisition mode.
     pub coordinates: CoordinateMode,
@@ -93,8 +93,10 @@ pub struct LaacadConfig {
     /// their ring neighborhoods — stop moving entirely; when a node's
     /// position, ring radius and competitor `(id, position)` set are
     /// *exactly* unchanged since the node's previous computation, the
-    /// engine reuses the cached Chebyshev disk and farthest distance
-    /// instead of re-subdividing. The key is exact
+    /// engine takes the ring search's final domination verdict from the
+    /// cache key instead of re-running the arc-depth sweep, and reuses
+    /// the cached Chebyshev disk and farthest distance instead of
+    /// re-subdividing. The key is exact
     /// equality of every geometric input, so cached and uncached runs
     /// are bit-identical; only oracle-coordinate runs cache (ranging
     /// noise is re-drawn per round by design).

@@ -40,9 +40,6 @@
 //! assert!(session.network().max_sensing_radius() > 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! See `DESIGN.md` (repository root) for the implementation inventory and
-//! `EXPERIMENTS.md` for the paper-versus-measured record.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -11,7 +11,8 @@
 //!   farthest distance in one vertex pass, and consults the per-worker
 //!   [`crate::scratch::LocalViewCache`] so that nodes whose exact
 //!   geometric inputs are unchanged since their previous computation
-//!   skip the subdivision entirely. Zero heap allocations in steady
+//!   take the ring search's final domination verdict from the cache key
+//!   and skip the subdivision entirely. Zero heap allocations in steady
 //!   state (oracle mode).
 //! * [`compute_local_view`] / [`compute_local_view_scratched`] — the
 //!   convenience API returning a full [`LocalView`] with an owned
@@ -161,11 +162,16 @@ pub fn compute_local_view_scratched(
 }
 
 /// The round engine's hot path: like [`compute_local_view_scratched`]
-/// but without materializing the region, with the Chebyshev disk and
-/// farthest distance computed in one vertex pass, and — in oracle mode,
-/// when `config.cache` is on — with the whole geometry stage skipped
-/// whenever the node's exact inputs are unchanged since its previous
-/// computation in this worker's [`crate::scratch::LocalViewCache`].
+/// but without materializing the region, and with the Chebyshev disk and
+/// farthest distance computed in one vertex pass.
+///
+/// In oracle mode, when `config.cache` is on, the node's entry in this
+/// worker's [`crate::scratch::LocalViewCache`] is handed to the ring
+/// search. A stage whose exact inputs (ρ, member ids and positions, own
+/// position, `k`) equal the entry's key takes the stored domination
+/// verdict instead of running the arc-depth sweep, and a key match at
+/// the end of the search skips the whole geometry stage. Both reuses
+/// are exact, so the view is bit-identical to an uncached computation.
 pub fn compute_node_view(
     net: &Network,
     adjacency: Option<&Adjacency>,
@@ -200,6 +206,12 @@ pub fn compute_node_view_warm(
     // bit-identical either way.
     let timing = scratch.telemetry.enabled;
     let started = timing.then(std::time::Instant::now);
+    // The cache key doubles as a recorded domination check, valid
+    // wherever the cache itself is (oracle coordinates, cache on).
+    let key = match config.coordinates {
+        CoordinateMode::Oracle if config.cache => scratch.cache.entry(id.index()),
+        _ => None,
+    };
     let status = expanding_ring_search_status_warm(
         net,
         adjacency,
@@ -208,6 +220,7 @@ pub fn compute_node_view_warm(
         config.k,
         max_rho,
         warm_skip,
+        key,
         &mut scratch.ring,
         &mut scratch.competitors,
         &mut scratch.domination,
@@ -487,7 +500,7 @@ fn carve_region(
 ) {
     // Ring-cap policy. The cap polygon is circumscribed (not inscribed)
     // so it never truncates the true dominating region — the
-    // approximation can only *over*-estimate (DESIGN.md §3).
+    // approximation can only *over*-estimate.
     let apply_cap = match config.ring_cap {
         RingCapPolicy::AlwaysCap => true,
         RingCapPolicy::Exact => dominated,

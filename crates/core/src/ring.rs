@@ -14,6 +14,7 @@
 //! bounded by the target area itself, and — during the expansion phase —
 //! optionally by the searching ring (see [`crate::RingCapPolicy`]).
 
+use crate::scratch::CacheEntry;
 use laacad_geom::{Arc, ArcCover, Circle, DepthScratch, HalfPlane, Point};
 use laacad_region::arcs::arcs_inside_region_into;
 use laacad_region::Region;
@@ -268,6 +269,7 @@ pub fn expanding_ring_search_status(
         k,
         max_rho,
         0,
+        None,
         scratch,
         competitors,
         domination,
@@ -288,6 +290,16 @@ pub fn expanding_ring_search_status(
 /// exactly the work whose outcome is already known. Callers must ensure
 /// `skip_checks` is strictly smaller than the stage count at which the
 /// previous search terminated (a terminating stage is never skippable).
+///
+/// `key` is the node's [`CacheEntry`] from the round engine's view
+/// cache, if any. A checked stage whose `ρ`, member ids, member
+/// positions, `k` and center all equal the key
+/// ([`CacheEntry::matches`]) takes the stored verdict instead of
+/// running the arc-depth sweep. The check is a pure function of exactly
+/// those inputs and `region`, so the outcome is byte-identical to the
+/// search without a key, provided `region` is the one the entry was
+/// computed against. A stored `false` (the entry of a saturated search)
+/// falls through to the usual saturation test.
 #[allow(clippy::too_many_arguments)]
 pub fn expanding_ring_search_status_warm(
     net: &Network,
@@ -297,6 +309,7 @@ pub fn expanding_ring_search_status_warm(
     k: usize,
     max_rho: f64,
     skip_checks: usize,
+    key: Option<&CacheEntry>,
     scratch: &mut RingScratch,
     competitors: &mut Vec<Point>,
     domination: &mut DominationScratch,
@@ -316,10 +329,20 @@ pub fn expanding_ring_search_status_warm(
         let step = query.collect(rho, hop_budget(rho, gamma, DEFAULT_HOP_SLACK));
         messages.absorb(step.messages);
         if stages > skip_checks {
-            let circle = Circle::new(center, rho / 2.0);
             competitors.clear();
             competitors.extend(query.members().iter().map(|&m| net.position(NodeId(m))));
-            if circle_dominated_scratched(center, competitors, &circle, region, k, domination) {
+            // `matches` also compares the verdict; handing it the entry's
+            // own verdict leaves exactly the check's inputs compared.
+            let known = key
+                .filter(|e| e.matches(k, center, rho, e.dominated, query.members(), competitors));
+            let dominated = match known {
+                Some(entry) => entry.dominated,
+                None => {
+                    let circle = Circle::new(center, rho / 2.0);
+                    circle_dominated_scratched(center, competitors, &circle, region, k, domination)
+                }
+            };
+            if dominated {
                 let contact_radius = query.contact_radius();
                 return RingStatus {
                     rho,
@@ -522,6 +545,7 @@ mod tests {
                         k,
                         3.0,
                         skip,
+                        None,
                         &mut scratch2,
                         &mut competitors2,
                         &mut dom,
@@ -542,6 +566,127 @@ mod tests {
                     );
                     assert_eq!(scratch2.last_members(), cold_members.as_slice());
                     assert_eq!(competitors2, cold_competitors, "id={id} k={k} skip={skip}");
+                }
+            }
+        }
+    }
+
+    /// One search of the grid fixture's node `id`, returning the status
+    /// with the member ids and competitor buffer it left behind.
+    fn keyed_search(
+        net: &Network,
+        region: &Region,
+        id: usize,
+        k: usize,
+        key: Option<&CacheEntry>,
+    ) -> (RingStatus, Vec<usize>, Vec<Point>) {
+        let mut scratch = RingScratch::new();
+        let mut competitors = Vec::new();
+        let status = expanding_ring_search_status_warm(
+            net,
+            None,
+            NodeId(id),
+            region,
+            k,
+            3.0,
+            0,
+            key,
+            &mut scratch,
+            &mut competitors,
+            &mut DominationScratch::new(),
+        );
+        (status, scratch.last_members().to_vec(), competitors)
+    }
+
+    fn assert_same_search(
+        a: &(RingStatus, Vec<usize>, Vec<Point>),
+        b: &(RingStatus, Vec<usize>, Vec<Point>),
+        what: &str,
+    ) {
+        let ((sa, ma, ca), (sb, mb, cb)) = (a, b);
+        assert_eq!(sa.rho.to_bits(), sb.rho.to_bits(), "{what}");
+        assert_eq!(sa.stages, sb.stages, "{what}");
+        assert_eq!(sa.dominated, sb.dominated, "{what}");
+        assert_eq!(sa.saturated, sb.saturated, "{what}");
+        assert_eq!(sa.messages, sb.messages, "{what}");
+        assert_eq!(
+            sa.contact_radius.to_bits(),
+            sb.contact_radius.to_bits(),
+            "{what}"
+        );
+        assert_eq!(ma, mb, "{what}");
+        assert_eq!(ca, cb, "{what}");
+    }
+
+    #[test]
+    fn keyed_search_is_byte_identical_and_ignores_foreign_keys() {
+        // The view-cache key answers the final domination check only
+        // where it matches the stage's inputs exactly. The node's own
+        // cold result as key must reproduce the cold search byte for
+        // byte; keys that differ in any input must never change the
+        // outcome, whatever verdict they carry.
+        let region = Region::square(1.0).unwrap();
+        let net = dense_grid_network(0.1, 11, 0.15);
+        let key_of = |k: usize, id: usize, search: &(RingStatus, Vec<usize>, Vec<Point>)| {
+            let (status, members, competitors) = search;
+            let mut entry = CacheEntry::default();
+            entry.store_key(
+                k,
+                net.position(NodeId(id)),
+                status.rho,
+                status.dominated,
+                members,
+                competitors,
+            );
+            entry.valid = true;
+            entry
+        };
+        for id in [0usize, 27, 60] {
+            for k in 1..=4usize {
+                let cold = keyed_search(&net, &region, id, k, None);
+                let own = key_of(k, id, &cold);
+                let keyed = keyed_search(&net, &region, id, k, Some(&own));
+                assert_same_search(&keyed, &cold, &format!("own key, id={id} k={k}"));
+
+                // The matching key is really consulted: a flipped verdict
+                // changes where (or whether) the search terminates.
+                let mut flipped = own.clone();
+                flipped.dominated = !flipped.dominated;
+                let (status, _, _) = keyed_search(&net, &region, id, k, Some(&flipped));
+                assert_ne!(
+                    (status.dominated, status.stages),
+                    (cold.0.dominated, cold.0.stages),
+                    "flipped own key, id={id} k={k}"
+                );
+
+                let other_id = if id == 60 { 27 } else { 60 };
+                let other_k = k % 4 + 1;
+                let mut other_k_key = own.clone();
+                other_k_key.k = other_k;
+                let mut moved_member = own.clone();
+                moved_member.member_pos[0].x += 1e-9;
+                let mut next_stage = own.clone();
+                next_stage.rho = cold.0.rho + net.gamma();
+                let foreign = [
+                    (
+                        "another node",
+                        key_of(k, other_id, &keyed_search(&net, &region, other_id, k, None)),
+                    ),
+                    ("another k", other_k_key),
+                    ("a moved member", moved_member),
+                    ("another stage's rho", next_stage),
+                ];
+                for (what, key) in foreign {
+                    for verdict in [false, true] {
+                        let mut key = key.clone();
+                        key.dominated = verdict;
+                        let search = keyed_search(&net, &region, id, k, Some(&key));
+                        assert_same_search(
+                            &search,
+                            &cold,
+                            &format!("{what} (verdict {verdict}), id={id} k={k}"),
+                        );
+                    }
                 }
             }
         }

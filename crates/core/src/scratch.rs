@@ -12,8 +12,10 @@
 //! The scratch also owns the worker's [`LocalViewCache`]: per-node
 //! entries keyed by the *exact* geometric inputs of the node's previous
 //! computation (position, ring radius, competitor `(id, position)` set,
-//! `k`). A hit skips the subdivision and Welzl entirely; because the key
-//! is exact equality, cached and uncached runs are bit-identical.
+//! `k`). A key match answers the ring search's final domination check
+//! from the stored verdict (skipping its arc-depth sweep) and then
+//! skips the subdivision and Welzl entirely; because the key is exact
+//! equality, cached and uncached runs are bit-identical.
 
 use crate::ring::DominationScratch;
 use laacad_geom::{Circle, Point, PolygonBuf};
@@ -72,7 +74,11 @@ impl RoundScratch {
 /// Cross-round cache of per-node local views.
 ///
 /// Entries are indexed by node id and keyed by the exact inputs of the
-/// dominating-region computation. With multiple workers each worker owns
+/// dominating-region computation. The ring search reads a node's entry
+/// first: at the stage whose inputs equal the key it takes the stored
+/// domination verdict instead of re-running the check, and a key match
+/// at the end of the search then serves the stored disk and reach. With
+/// multiple workers each worker owns
 /// its own cache and nodes migrate between workers, so hits degrade
 /// gracefully (a miss just recomputes — results never change); with the
 /// serial default every node hits its previous round's entry as soon as
@@ -91,6 +97,12 @@ impl LocalViewCache {
         &mut self.entries[i]
     }
 
+    /// Node `i`'s entry, if the table has grown that far — the ring
+    /// search's read-only view of the key.
+    pub(crate) fn entry(&self, i: usize) -> Option<&CacheEntry> {
+        self.entries.get(i)
+    }
+
     /// All entries, indexed by node id — snapshot serialization.
     pub(crate) fn entries(&self) -> &[CacheEntry] {
         &self.entries
@@ -104,8 +116,19 @@ impl LocalViewCache {
 
 /// One node's cached view, together with the exact-equality key that
 /// guards its reuse.
+///
+/// The key is also a recorded domination check: `dominated` is the
+/// verdict of the ring check at `rho` for exactly these members, member
+/// positions, `self_pos` and `k` (a `false` marks the stage where the
+/// search saturated). The check is a pure function of those inputs and
+/// the session's fixed region, so a search stage that matches the key
+/// reuses the verdict bit-exactly (see
+/// [`crate::ring::expanding_ring_search_status_warm`]).
+///
+/// The type is opaque outside the crate: only the round engine's own
+/// [`LocalViewCache`] fills entries.
 #[derive(Debug, Clone)]
-pub(crate) struct CacheEntry {
+pub struct CacheEntry {
     /// Whether the entry holds a computed view.
     pub(crate) valid: bool,
     // --- key ---------------------------------------------------------

@@ -685,6 +685,20 @@ impl SessionBuilder {
         } else if !neighbors.is_empty() {
             return Err(corrupt("adjacency neighbors without offsets"));
         }
+        // The states that reuse the CSR without a rebuild need one row
+        // per node: the next round indexes it by node id. A `StaleFull`
+        // CSR is rebuilt before use and may still describe the
+        // population before a `FailNodes`/`InsertNodes` event.
+        let rows = offsets.len().saturating_sub(1);
+        let reused = matches!(
+            adjacency_state,
+            AdjacencyState::Fresh | AdjacencyState::StaleMoves
+        );
+        if reused && rows != n {
+            return Err(corrupt(format!(
+                "adjacency CSR has {rows} rows for {n} nodes"
+            )));
+        }
         let adjacency = Adjacency::from_csr(offsets, neighbors);
         let counters = SessionCounters {
             ring_searches: r.u64()?,
@@ -746,6 +760,7 @@ impl SessionBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NetworkEvent;
     use laacad_region::sampling::sample_uniform;
 
     fn session(n: usize, k: usize, seed: u64) -> Session {
@@ -817,6 +832,46 @@ mod tests {
             SessionBuilder::restore(&long).unwrap_err(),
             SnapshotError::TrailingBytes
         );
+    }
+
+    #[test]
+    fn rejects_adjacency_csr_that_does_not_fit_the_deployment() {
+        for (state, rows) in [
+            // One row for 40 nodes, trusted as fresh: restoring it used
+            // to succeed and the next step panicked in the ring search.
+            (AdjacencyState::Fresh, Some(1)),
+            (AdjacencyState::StaleMoves, Some(41)),
+            // Fresh and move-patchable states need a CSR at all.
+            (AdjacencyState::Fresh, None),
+            (AdjacencyState::StaleMoves, None),
+        ] {
+            let mut s = session(40, 1, 5);
+            s.adjacency = match rows {
+                Some(rows) => Adjacency::from_csr(vec![0; rows + 1], Vec::new()),
+                None => Adjacency::from_csr(Vec::new(), Vec::new()),
+            };
+            s.adjacency_state = state;
+            assert!(
+                matches!(
+                    SessionBuilder::restore(&s.snapshot()).unwrap_err(),
+                    SnapshotError::Corrupt(_)
+                ),
+                "{state:?} with {rows:?} rows"
+            );
+        }
+        // A CSR that is rebuilt before use may lag the population: a
+        // never-stepped session has none, and after a failure event it
+        // still has the old row count. Both restore and step as before.
+        let mut failed = session(40, 1, 5);
+        failed.step();
+        assert_eq!(failed.adjacency.len(), 40);
+        failed
+            .apply_event(NetworkEvent::FailNodes(vec![NodeId(3), NodeId(7)]))
+            .unwrap();
+        for mut original in [session(40, 1, 5), failed] {
+            let mut restored = SessionBuilder::restore(&original.snapshot()).unwrap();
+            assert_eq!(restored.step(), original.step());
+        }
     }
 
     #[test]

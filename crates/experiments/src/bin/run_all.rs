@@ -54,7 +54,7 @@ fn main() {
             }
         }
     }
-    println!("\nartifacts in ./out — see EXPERIMENTS.md for the paper-vs-measured record");
+    println!("\nartifacts in ./out");
     if failed.is_empty() {
         println!("all experiments completed");
     } else {

@@ -5,8 +5,8 @@
 //! take the converged maximum sensing range `R*` as the common range, and
 //! compute `N*₂ = 4|A| / (3√3 R*²)` — the boundary-effect-free optimum.
 //! The paper finds LAACAD within ≈ 15% of `N*₂`, attributing the gap to
-//! boundary effects. Units: |A| = 10⁴ m² (see DESIGN.md §3 — the paper's
-//! "1 km²" is inconsistent with its own reported numbers).
+//! boundary effects. Units: |A| = 10⁴ m² (the paper's "1 km²" is
+//! inconsistent with its own reported numbers).
 //!
 //! Driven by the declarative spec `scenarios/table1_minnode.toml`; the
 //! campaign runner sweeps the N-grid across all cores.

@@ -1,7 +1,7 @@
 //! # laacad-experiments — the paper-reproduction harness
 //!
 //! One binary per table/figure of the ICDCS 2012 evaluation (Sec. V),
-//! plus the ablations listed in DESIGN.md §4. Each binary prints
+//! plus the ablations in the table's last rows. Each binary prints
 //! paper-style rows to stdout and writes CSV/SVG artifacts into `out/`.
 //!
 //! | binary            | reproduces |

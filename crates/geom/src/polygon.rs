@@ -108,8 +108,9 @@ impl Polygon {
     /// Regular `n`-gon inscribed in the circle of radius `r` around
     /// `center`, starting at angle `phase`.
     ///
-    /// Used to approximate disk-shaped search-ring caps (documented
-    /// approximation, see DESIGN.md §3).
+    /// Used to approximate disk-shaped search-ring caps. Passing
+    /// `r / cos(π/n)` circumscribes the radius-`r` disk instead, so the
+    /// cap never cuts into it.
     ///
     /// # Errors
     ///

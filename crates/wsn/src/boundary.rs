@@ -3,8 +3,8 @@
 //! Algorithm 2 treats nodes on the network boundary specially (Fig. 3).
 //! The paper delegates detection to an external service (UNFOLD, ref
 //! \[29\]); we substitute two standard geometric detectors behind one trait
-//! (see DESIGN.md §3 — the ring-saturation fallback in the core crate
-//! keeps LAACAD correct even when a detector misclassifies).
+//! (the ring-saturation fallback in the core crate keeps LAACAD correct
+//! even when a detector misclassifies).
 
 use crate::network::Network;
 use crate::node::NodeId;
