@@ -1,7 +1,8 @@
 //! End-to-end round-engine benchmark: one synchronous LAACAD round at
 //! N ∈ {1 000, 4 000, 10 000}, k ∈ {1, 3}, serial vs parallel — plus the
-//! PR-3 section (cached vs uncached steady-state rounds and
-//! allocations-per-round under a counting global allocator) and the
+//! full-work steady-state rounds (every node searches, geometry served
+//! from the view cache) with allocations-per-round under a counting
+//! global allocator, and the
 //! PR-4 section: quiescent steady-state rounds under the dirty-node
 //! index, which skips every ring search once nothing moves. The PR-6
 //! section records one cold / steady / partial round at N = 10⁴ through
@@ -22,8 +23,7 @@
 //!
 //! The PR-8 section sweeps the memory-layout rewrite (struct-of-arrays
 //! network, flat dense grid, per-worker arenas) at N ∈ {10⁵, 10⁶},
-//! k = 1: cold round (flat vs hash grid, serial and parallel), steady
-//! quiescent round, and the 1%-movers partial-activity round with its
+//! k = 1: cold round (serial and parallel), steady quiescent round, and the 1%-movers partial-activity round with its
 //! per-stage telemetry breakdown.
 //!
 //! Run `cargo bench -p laacad-bench --bench round_engine -- --smoke` for
@@ -34,7 +34,9 @@
 //! cap are skipped, and a capped full run prints measurements without
 //! rewriting the committed JSON.
 
-use laacad::{LaacadConfig, NoopRecorder, Session, SessionBuilder, Stage, TelemetryRegistry};
+use laacad::{
+    LaacadConfig, NetworkEvent, NoopRecorder, Session, SessionBuilder, Stage, TelemetryRegistry,
+};
 use laacad_dist::{AsyncConfig, AsyncExecutor, Backoff, DelayModel, FaultPlan};
 use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
@@ -209,31 +211,7 @@ fn pr3_steady_reference(n: usize, k: usize) -> f64 {
         .expect("reference row exists")
 }
 
-fn build(n: usize, k: usize, threads: usize, cache: bool, epsilon: f64) -> Session {
-    build_with_dirty(n, k, threads, cache, true, epsilon)
-}
-
-fn build_with_dirty(
-    n: usize,
-    k: usize,
-    threads: usize,
-    cache: bool,
-    dirty_skip: bool,
-    epsilon: f64,
-) -> Session {
-    build_layout(n, k, threads, cache, dirty_skip, epsilon, true)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_layout(
-    n: usize,
-    k: usize,
-    threads: usize,
-    cache: bool,
-    dirty_skip: bool,
-    epsilon: f64,
-    flat_grid: bool,
-) -> Session {
+fn build(n: usize, k: usize, threads: usize, epsilon: f64) -> Session {
     let region = Region::square(1.0).expect("unit square");
     let config = LaacadConfig::builder(k)
         .transmission_range(LaacadConfig::recommended_gamma(1.0, n, k))
@@ -241,9 +219,6 @@ fn build_layout(
         .epsilon(epsilon)
         .max_rounds(1_000)
         .threads(threads)
-        .cache(cache)
-        .dirty_skip(dirty_skip)
-        .flat_grid(flat_grid)
         .build()
         .expect("valid config");
     let initial = sample_uniform(&region, n, 42);
@@ -254,16 +229,16 @@ fn build_layout(
         .expect("valid deployment")
 }
 
-/// Times one cold `step()` under an explicit grid layout (best of
-/// `reps`; construction and index build excluded, as in [`time_round`]).
-/// ε scales with the expected sensing range `√(k/πN)` — at N = 10⁶ the
-/// fixed 2·10⁻³ used by the small-N cells exceeds the inter-node
-/// spacing, and a fresh deployment would count as already-at-target.
-fn time_cold_layout(n: usize, k: usize, threads: usize, flat_grid: bool, reps: usize) -> f64 {
+/// Times one cold `step()` at large N (best of `reps`; construction and
+/// index build excluded, as in [`time_round`]). ε scales with the
+/// expected sensing range `√(k/πN)` — at N = 10⁶ the fixed 2·10⁻³ used
+/// by the small-N cells exceeds the inter-node spacing, and a fresh
+/// deployment would count as already-at-target.
+fn time_cold(n: usize, k: usize, threads: usize, reps: usize) -> f64 {
     let epsilon = 5e-3 * (k as f64 / (std::f64::consts::PI * n as f64)).sqrt();
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let mut sim = build_layout(n, k, threads, true, true, epsilon, flat_grid);
+        let mut sim = build(n, k, threads, epsilon);
         let t = Instant::now();
         let delta = sim.step();
         let dt = t.elapsed().as_secs_f64();
@@ -278,7 +253,7 @@ fn time_cold_layout(n: usize, k: usize, threads: usize, flat_grid: bool, reps: u
 /// all carry real content).
 fn snapshot_roundtrip(n: usize, k: usize) -> (f64, f64, usize) {
     let epsilon = 5e-3 * (k as f64 / (std::f64::consts::PI * n as f64)).sqrt();
-    let mut sim = build(n, k, 1, true, epsilon);
+    let mut sim = build(n, k, 1, epsilon);
     sim.step();
     let t = Instant::now();
     let bytes = sim.snapshot();
@@ -414,7 +389,7 @@ fn backoff_overhead(n: usize, backoff: Backoff) -> (u64, u64, usize) {
 fn time_round(n: usize, k: usize, threads: usize, reps: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let mut sim = build(n, k, threads, true, 2e-3);
+        let mut sim = build(n, k, threads, 2e-3);
         let t = Instant::now();
         let delta = sim.step();
         let dt = t.elapsed().as_secs_f64();
@@ -424,25 +399,15 @@ fn time_round(n: usize, k: usize, threads: usize, reps: usize) -> f64 {
     best
 }
 
-/// Steady-state serial round: run with a loose ε until the deployment
-/// converges (movement per round drops below typical displacement almost
-/// immediately on a uniform start), take one extra round so every cache
-/// entry reflects the final positions, then time and alloc-count one
-/// more round.
-fn steady_round(n: usize, k: usize, cache: bool) -> (f64, u64) {
-    // The PR-3 measurement: dirty tracking off, so every round still
-    // runs its ring searches and hits the per-worker view cache.
-    steady_round_with(n, k, cache, false).0
-}
-
-/// Converges a deployment, then times one more round. Returns
-/// `((seconds, allocations), ring searches in the timed round)`.
-fn steady_round_with(n: usize, k: usize, cache: bool, dirty_skip: bool) -> ((f64, u64), usize) {
-    let mut sim = build_with_dirty(n, k, 1, cache, dirty_skip, 0.05);
+/// A serial deployment run with a loose ε until it converges (movement
+/// per round drops below typical displacement almost immediately on a
+/// uniform start), plus one extra round so every stored view and cache
+/// entry reflects the final positions.
+fn converged(n: usize, k: usize) -> Session {
+    let mut sim = build(n, k, 1, 0.05);
     let mut converged = false;
     for _ in 0..40 {
-        let delta = sim.step();
-        if delta.report.converged {
+        if sim.step().report.converged {
             converged = true;
             break;
         }
@@ -455,6 +420,27 @@ fn steady_round_with(n: usize, k: usize, cache: bool, dirty_skip: bool) -> ((f64
         "steady-state warm-up did not converge (N={n}, k={k}): measurement invalid"
     );
     sim.step(); // cache fill / pool high-water pass at the final positions
+    sim
+}
+
+/// Makes the next round of a converged session do full work: re-applying
+/// the current α is an event, and every event invalidates the stored
+/// views, so each node runs its ring search again (and, with nothing
+/// moved, hits its view cache).
+fn force_full_work(sim: &mut Session) {
+    let alpha = sim.config().alpha;
+    sim.apply_event(NetworkEvent::SetAlpha(alpha))
+        .expect("current alpha is valid");
+}
+
+/// Converges a deployment, then times one more round — quiescent, or
+/// with `full_work` one in which every node searches. Returns
+/// `((seconds, allocations), ring searches in the timed round)`.
+fn steady_round(n: usize, k: usize, full_work: bool) -> ((f64, u64), usize) {
+    let mut sim = converged(n, k);
+    if full_work {
+        force_full_work(&mut sim);
+    }
     let a0 = allocations();
     let t = Instant::now();
     let delta = sim.step();
@@ -492,7 +478,7 @@ fn partial_round_once(
     fraction: f64,
     record: bool,
 ) -> (f64, usize, usize, Option<TelemetryRegistry>) {
-    let mut sim = build_with_dirty(n, k, 1, true, true, 0.05);
+    let mut sim = build(n, k, 1, 0.05);
     let mut converged = false;
     for _ in 0..60 {
         if sim.step().report.converged {
@@ -578,28 +564,20 @@ fn stage_row(phase: &str, reg: &TelemetryRegistry) -> String {
     )
 }
 
-/// Times `rounds` steady-state rounds (N = 10³, k = 3, cache on, dirty
-/// tracking **off** so every round does full ring-search work), best of
-/// `reps` fresh deployments — optionally with a [`NoopRecorder`]
-/// installed, for the telemetry-overhead guard.
+/// Times `rounds` steady-state rounds (N = 10³, k = 3, each forced to
+/// full ring-search work by [`force_full_work`]), best of `reps` fresh
+/// deployments — optionally with a [`NoopRecorder`] installed, for the
+/// telemetry-overhead guard.
 fn steady_block_seconds(noop_recorder: bool, reps: usize, rounds: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let mut sim = build_with_dirty(1_000, 3, 1, true, false, 0.05);
-        let mut converged = false;
-        for _ in 0..40 {
-            if sim.step().report.converged {
-                converged = true;
-                break;
-            }
-        }
-        assert!(converged, "telemetry-overhead warm-up did not converge");
-        sim.step();
+        let mut sim = converged(1_000, 3);
         if noop_recorder {
             sim.set_recorder(Box::new(NoopRecorder));
         }
         let t = Instant::now();
         for _ in 0..rounds {
+            force_full_work(&mut sim);
             sim.step();
         }
         best = best.min(t.elapsed().as_secs_f64());
@@ -620,22 +598,22 @@ fn smoke() {
         );
         failed |= serial > limit;
     }
-    for cache in [true, false] {
-        let (dt, allocs) = steady_round(1_000, 3, cache);
+    {
+        let ((dt, allocs), searches) = steady_round(1_000, 3, true);
         let verdict = if allocs <= STEADY_ALLOC_CEILING {
             "ok"
         } else {
             "ALLOC REGRESSION"
         };
         eprintln!(
-            "smoke steady N=1000 k=3 cache={cache}: {dt:.4}s, {allocs} allocations \
-             (ceiling {STEADY_ALLOC_CEILING}) {verdict}"
+            "smoke steady N=1000 k=3 full work: {dt:.4}s, {searches} ring searches, \
+             {allocs} allocations (ceiling {STEADY_ALLOC_CEILING}) {verdict}"
         );
         failed |= allocs > STEADY_ALLOC_CEILING;
     }
     // PR-4: a quiescent round under the dirty-node index performs zero
     // ring searches and must beat the PR-3 cached steady round.
-    let ((dirty_s, dirty_allocs), searches) = steady_round_with(1_000, 3, true, true);
+    let ((dirty_s, dirty_allocs), searches) = steady_round(1_000, 3, false);
     let verdict = if searches == 0 && dirty_allocs <= STEADY_ALLOC_CEILING {
         "ok"
     } else {
@@ -649,16 +627,7 @@ fn smoke() {
     // PR-5: quiescent rounds must leave the spatial/adjacency index
     // completely untouched — no rebuild, no incremental update.
     {
-        let mut sim = build(1_000, 3, 1, true, 0.05);
-        let mut converged = false;
-        for _ in 0..40 {
-            if sim.step().report.converged {
-                converged = true;
-                break;
-            }
-        }
-        assert!(converged, "smoke zero-rebuild warm-up did not converge");
-        sim.step();
+        let mut sim = converged(1_000, 3);
         let before = sim.counters();
         for _ in 0..5 {
             sim.step();
@@ -721,7 +690,7 @@ fn smoke() {
     // generous wall-clock bound, O(1) allocations, zero ring searches.
     {
         let n = bench_n_cap().map_or(SMOKE_LARGE_N, |c| c.min(SMOKE_LARGE_N));
-        let ((dt, allocs), searches) = steady_round_with(n, 1, true, true);
+        let ((dt, allocs), searches) = steady_round(n, 1, false);
         let ok =
             searches == 0 && allocs <= STEADY_ALLOC_CEILING && dt <= SMOKE_LARGE_N_STEADY_SECONDS;
         let verdict = if ok { "ok" } else { "LAYOUT REGRESSION" };
@@ -785,8 +754,9 @@ fn main() {
             pr2 / serial,
         ));
     }
-    // PR-3 section: steady-state rounds, cached vs uncached, with
-    // allocation counts from the counting global allocator.
+    // Full-work steady-state rounds (every node searches, geometry from
+    // the view cache), with allocation counts from the counting global
+    // allocator.
     let mut pr3_rows = Vec::new();
     for &n in &[1_000usize, 4_000, 10_000] {
         if skip(n) {
@@ -798,19 +768,17 @@ fn main() {
             .find(|&&(rn, rk, _)| rn == n && rk == k)
             .map(|&(_, _, s)| s)
             .expect("measured above");
-        let (cached_s, cached_allocs) = steady_round(n, k, true);
-        let (uncached_s, uncached_allocs) = steady_round(n, k, false);
+        let ((cached_s, cached_allocs), _) = steady_round(n, k, true);
         let pr2 = pr2_reference(n, k);
         eprintln!(
             "round_engine pr3 N={n} k={k}: round1 {round1:.3}s, steady cached {cached_s:.4}s \
-             ({cached_allocs} allocs), steady uncached {uncached_s:.4}s ({uncached_allocs} allocs)"
+             ({cached_allocs} allocs)"
         );
         if n == 1_000 {
             assert!(
-                cached_allocs <= STEADY_ALLOC_CEILING && uncached_allocs <= STEADY_ALLOC_CEILING,
-                "steady-state round allocated (cached {cached_allocs}, uncached \
-                 {uncached_allocs}) above the O(1) ceiling {STEADY_ALLOC_CEILING}: \
-                 the geometry hot path is no longer allocation-free"
+                cached_allocs <= STEADY_ALLOC_CEILING,
+                "steady-state round allocated {cached_allocs} times, above the O(1) ceiling \
+                 {STEADY_ALLOC_CEILING}: the geometry hot path is no longer allocation-free"
             );
         }
         pr3_rows.push(format!(
@@ -818,9 +786,7 @@ fn main() {
                 "      {{\"n\": {}, \"k\": {}, \"round1_serial_seconds\": {:.6}, ",
                 "\"speedup_round1_vs_pr2\": {:.2}, ",
                 "\"steady_cached_seconds\": {:.6}, ",
-                "\"steady_uncached_seconds\": {:.6}, ",
                 "\"steady_allocs_cached\": {}, ",
-                "\"steady_allocs_uncached\": {}, ",
                 "\"speedup_steady_cached_vs_pr2\": {:.2}}}"
             ),
             n,
@@ -828,9 +794,7 @@ fn main() {
             round1,
             pr2 / round1,
             cached_s,
-            uncached_s,
             cached_allocs,
-            uncached_allocs,
             pr2 / cached_s,
         ));
     }
@@ -842,7 +806,7 @@ fn main() {
             continue;
         }
         let k = 3;
-        let ((dirty_s, dirty_allocs), searches) = steady_round_with(n, k, true, true);
+        let ((dirty_s, dirty_allocs), searches) = steady_round(n, k, false);
         assert_eq!(
             searches, 0,
             "N={n}: a quiescent round under the dirty index still ran ring searches"
@@ -908,21 +872,12 @@ fn main() {
     if !skip(10_000) {
         let n = 10_000;
         let k = 3;
-        let mut sim = build(n, k, 1, true, 2e-3);
+        let mut sim = build(n, k, 1, 2e-3);
         sim.set_recorder(Box::new(TelemetryRegistry::new()));
         sim.step();
         let cold = take_registry(&mut sim);
 
-        let mut sim = build_with_dirty(n, k, 1, true, true, 0.05);
-        let mut converged = false;
-        for _ in 0..40 {
-            if sim.step().report.converged {
-                converged = true;
-                break;
-            }
-        }
-        assert!(converged, "pr6 steady warm-up did not converge");
-        sim.step();
+        let mut sim = converged(n, k);
         sim.set_recorder(Box::new(TelemetryRegistry::new()));
         sim.step();
         let steady = take_registry(&mut sim);
@@ -947,8 +902,7 @@ fn main() {
         }
     }
     // PR-8 section: the memory-layout sweep. N ∈ {10⁵, 10⁶} at k = 1 —
-    // cold round under the flat vs the hash grid (serial, plus parallel
-    // under the flat layout), one steady quiescent round, and the
+    // cold round (serial and parallel), one steady quiescent round, and the
     // flagship cell: the single round reacting to a localized 1%
     // displacement, recorded through the telemetry registry so the JSON
     // carries its per-stage breakdown.
@@ -959,10 +913,9 @@ fn main() {
             continue;
         }
         let k = 1;
-        let cold_flat = time_cold_layout(n, k, 1, true, 1);
-        let cold_hash = time_cold_layout(n, k, 1, false, 1);
-        let cold_parallel = time_cold_layout(n, k, 0, true, 1);
-        let ((steady_s, steady_allocs), steady_searches) = steady_round_with(n, k, true, true);
+        let cold_serial = time_cold(n, k, 1, 1);
+        let cold_parallel = time_cold(n, k, 0, 1);
+        let ((steady_s, steady_allocs), steady_searches) = steady_round(n, k, false);
         assert_eq!(
             steady_searches, 0,
             "N={n}: a quiescent round under the dirty index still ran ring searches"
@@ -977,7 +930,7 @@ fn main() {
             );
         }
         eprintln!(
-            "round_engine pr8 N={n} k={k}: cold flat {cold_flat:.3}s / hash {cold_hash:.3}s \
+            "round_engine layout N={n} k={k}: cold serial {cold_serial:.3}s \
              / parallel({workers}) {cold_parallel:.3}s, steady {steady_s:.4}s \
              ({steady_allocs} allocs), partial 1% ({movers} movers) {partial_s:.4}s \
              ({partial_searches} ring searches)"
@@ -986,7 +939,6 @@ fn main() {
             concat!(
                 "      {{\"n\": {}, \"k\": {}, ",
                 "\"cold_serial_seconds\": {:.6}, ",
-                "\"cold_serial_hash_grid_seconds\": {:.6}, ",
                 "\"cold_parallel_seconds\": {:.6}, ",
                 "\"steady_seconds\": {:.6}, ",
                 "\"steady_allocs\": {}, ",
@@ -996,8 +948,7 @@ fn main() {
             ),
             n,
             k,
-            cold_flat,
-            cold_hash,
+            cold_serial,
             cold_parallel,
             steady_s,
             steady_allocs,
@@ -1137,7 +1088,7 @@ fn main() {
             "    \"rows\": [\n{}\n    ]\n",
             "  }},\n",
             "  \"pr8\": {{\n",
-            "    \"description\": \"memory-layout sweep (struct-of-arrays network, flat dense CSR grid, per-worker arenas) at N in {{10^5, 10^6}}, k = 1: cold first round under the flat vs the hash grid (serial; parallel under flat), one steady quiescent round (O(N) stored-view replay, O(1) allocations), and the single serial round reacting to a localized 1% corner displacement. stage_rows carries the partial round's per-stage telemetry split (classification + replay dominate; ring search and geometry stay proportional to the perturbed set), recorded the same way as the pr6 rows\",\n",
+            "    \"description\": \"memory-layout sweep (struct-of-arrays network, flat dense CSR grid, per-worker arenas) at N in {{10^5, 10^6}}, k = 1: cold first round (serial and parallel), one steady quiescent round (O(N) stored-view replay, O(1) allocations), and the single serial round reacting to a localized 1% corner displacement. stage_rows carries the partial round's per-stage telemetry split (classification + replay dominate; ring search and geometry stay proportional to the perturbed set), recorded through the same telemetry registry as the cold/steady/partial stage rows\",\n",
             "    \"rows\": [\n{}\n    ],\n",
             "    \"stage_rows\": [\n{}\n    ]\n",
             "  }},\n",

@@ -165,9 +165,9 @@ pub fn compute_local_view_scratched(
 /// but without materializing the region, and with the Chebyshev disk and
 /// farthest distance computed in one vertex pass.
 ///
-/// In oracle mode, when `config.cache` is on, the node's entry in this
-/// worker's [`crate::scratch::LocalViewCache`] is handed to the ring
-/// search. A stage whose exact inputs (ρ, member ids and positions, own
+/// In oracle mode the node's entry in this worker's
+/// [`crate::scratch::LocalViewCache`] is handed to the ring search. A
+/// stage whose exact inputs (ρ, member ids and positions, own
 /// position, `k`) equal the entry's key takes the stored domination
 /// verdict instead of running the arc-depth sweep, and a key match at
 /// the end of the search skips the whole geometry stage. Both reuses
@@ -207,10 +207,10 @@ pub fn compute_node_view_warm(
     let timing = scratch.telemetry.enabled;
     let started = timing.then(std::time::Instant::now);
     // The cache key doubles as a recorded domination check, valid
-    // wherever the cache itself is (oracle coordinates, cache on).
+    // wherever the cache itself is (oracle coordinates).
     let key = match config.coordinates {
-        CoordinateMode::Oracle if config.cache => scratch.cache.entry(id.index()),
-        _ => None,
+        CoordinateMode::Oracle => scratch.cache.entry(id.index()),
+        CoordinateMode::Ranging(_) => None,
     };
     let status = expanding_ring_search_status_warm(
         net,
@@ -258,29 +258,18 @@ fn geometry_stage(
     scratch: &mut RoundScratch,
 ) -> NodeView {
     if let CoordinateMode::Oracle = config.coordinates {
-        if config.cache {
-            return cached_node_view(id, area, config, status, true_self, scratch);
-        }
+        return cached_node_view(id, area, config, status, true_self, scratch);
     }
-    // Uncached (ranging mode, or cache disabled): compute into the
-    // scratch's own piece buffer. In oracle mode the member positions
-    // are already in `competitors`; ranging re-derives them from the
-    // member ids (allocating — noise is re-drawn per round by design).
-    {
-        let s = &mut *scratch;
-        s.sites.clear();
-        match config.coordinates {
-            CoordinateMode::Oracle => {
-                s.sites.push(true_self);
-                s.sites.extend_from_slice(&s.competitors);
-            }
-            CoordinateMode::Ranging(_) => {
-                let candidates: Vec<NodeId> =
-                    s.ring.last_members().iter().map(|&m| NodeId(m)).collect();
-                build_sites(net, id, &candidates, config, round, s);
-            }
-        }
-    }
+    // Ranging mode is never cached: the member positions are re-derived
+    // from the member ids (allocating — noise is re-drawn per round by
+    // design) and computed into the scratch's own piece buffer.
+    let candidates: Vec<NodeId> = scratch
+        .ring
+        .last_members()
+        .iter()
+        .map(|&m| NodeId(m))
+        .collect();
+    build_sites(net, id, &candidates, config, round, scratch);
     let s = &mut *scratch;
     let (chebyshev, reach) = carve_and_measure(
         area,
@@ -725,19 +714,5 @@ mod tests {
             assert_eq!(lean.chebyshev, hit.chebyshev, "node {i}");
             assert_eq!(lean.reach.to_bits(), hit.reach.to_bits(), "node {i}");
         }
-    }
-
-    #[test]
-    fn cache_disabled_never_hits_but_matches() {
-        let area = Region::square(1.0).unwrap();
-        let net = grid_net(7, 0.15, 0.2);
-        let mut config = cfg(2);
-        config.cache = false;
-        let mut scratch = RoundScratch::new();
-        let a = compute_node_view(&net, None, NodeId(24), &area, &config, 0, &mut scratch);
-        let b = compute_node_view(&net, None, NodeId(24), &area, &config, 1, &mut scratch);
-        assert!(!a.cache_hit && !b.cache_hit);
-        assert_eq!(a.chebyshev, b.chebyshev);
-        assert_eq!(a.reach.to_bits(), b.reach.to_bits());
     }
 }

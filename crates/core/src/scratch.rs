@@ -15,7 +15,8 @@
 //! `k`). A key match answers the ring search's final domination check
 //! from the stored verdict (skipping its arc-depth sweep) and then
 //! skips the subdivision and Welzl entirely; because the key is exact
-//! equality, cached and uncached runs are bit-identical.
+//! equality, a hit returns exactly what a from-scratch computation
+//! would.
 
 use crate::ring::DominationScratch;
 use laacad_geom::{Circle, Point, PolygonBuf};
@@ -63,9 +64,8 @@ impl RoundScratch {
 
     /// Pre-sizes the `N`-proportional buffers (the ring BFS arrays) so
     /// the first fan-out of a round never grows them mid-computation —
-    /// the session's arena sizing, applied once per worker when the
-    /// `arena` knob is on. Purely an allocation hint; contents are
-    /// untouched.
+    /// the session applies it to every worker before each fan-out.
+    /// Purely an allocation hint; contents are untouched.
     pub fn reserve(&mut self, n: usize) {
         self.ring.reserve(n);
     }

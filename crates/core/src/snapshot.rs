@@ -8,7 +8,8 @@
 //! per-worker cross-round local-view caches — so that
 //! [`SessionBuilder::restore`] reconstructs a session whose subsequent
 //! rounds are **bit-identical** to the uninterrupted run, at any thread
-//! count and any knob combination (pinned by `tests/snapshot_roundtrip.rs`).
+//! count and either execution schedule (pinned by
+//! `tests/snapshot_roundtrip.rs`).
 //!
 //! # Format (`laacad-snapshot/1`)
 //!
@@ -49,6 +50,13 @@ use laacad_wsn::{Adjacency, Network, NodeId};
 
 /// Magic/version line opening every snapshot.
 pub const SNAPSHOT_MAGIC: &[u8] = b"laacad-snapshot/1\n";
+
+/// The config section's last byte once held seven on/off engine
+/// switches, one bit each. The switches are gone (every mechanism is
+/// always on), but the byte stays so the layout does not change: it is
+/// written as all seven bits set — what a default session wrote — and
+/// read back only to reject values no writer could have produced.
+const RETIRED_KNOBS: u8 = 0x7F;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -320,14 +328,7 @@ fn write_config(w: &mut Writer, c: &LaacadConfig) {
     w.opt_usize(c.snapshot_every);
     w.u64(c.seed);
     w.usize(c.threads);
-    let knobs = (c.cache as u8)
-        | (c.dirty_skip as u8) << 1
-        | (c.exact_reach as u8) << 2
-        | (c.warm_start as u8) << 3
-        | (c.incremental_index as u8) << 4
-        | (c.flat_grid as u8) << 5
-        | (c.arena as u8) << 6;
-    w.u8(knobs);
+    w.u8(RETIRED_KNOBS);
 }
 
 fn read_config(r: &mut Reader) -> Result<LaacadConfig, SnapshotError> {
@@ -359,6 +360,8 @@ fn read_config(r: &mut Reader) -> Result<LaacadConfig, SnapshotError> {
     let snapshot_every = r.opt_usize()?;
     let seed = r.u64()?;
     let threads = r.usize()?;
+    // Retired switch bits: any value a writer of this format could
+    // have produced is accepted and ignored.
     let knobs = r.u8()?;
     if knobs >= 0x80 {
         return Err(corrupt(format!("bad knob bitmask {knobs:#x}")));
@@ -377,13 +380,6 @@ fn read_config(r: &mut Reader) -> Result<LaacadConfig, SnapshotError> {
         snapshot_every,
         seed,
         threads,
-        cache: knobs & 1 != 0,
-        dirty_skip: knobs & 2 != 0,
-        exact_reach: knobs & 4 != 0,
-        warm_start: knobs & 8 != 0,
-        incremental_index: knobs & 16 != 0,
-        flat_grid: knobs & 32 != 0,
-        arena: knobs & 64 != 0,
     })
 }
 
@@ -416,7 +412,9 @@ fn read_region(r: &mut Reader) -> Result<Region, SnapshotError> {
 
 fn write_network(w: &mut Writer, net: &Network) {
     w.f64(net.gamma());
-    w.bool(net.prefers_flat_grid());
+    // Retired grid-layout preference byte (the layout now follows the
+    // point cloud alone).
+    w.bool(true);
     w.f64(net.retired_distance());
     w.points(net.positions());
     for &s in net.sensing_radii() {
@@ -432,19 +430,14 @@ fn read_network(r: &mut Reader) -> Result<Network, SnapshotError> {
     if !(gamma.is_finite() && gamma > 0.0) {
         return Err(corrupt(format!("invalid gamma {gamma}")));
     }
-    let prefer_flat = r.bool()?;
+    let _retired_prefer_flat = r.bool()?;
     let retired = r.f64()?;
     let positions = r.points()?;
     let n = positions.len();
     let sensing: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
     let moved: Vec<f64> = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
     Ok(Network::from_parts(
-        gamma,
-        positions,
-        sensing,
-        moved,
-        retired,
-        prefer_flat,
+        gamma, positions, sensing, moved, retired,
     ))
 }
 
@@ -871,6 +864,67 @@ mod tests {
         for mut original in [session(40, 1, 5), failed] {
             let mut restored = SessionBuilder::restore(&original.snapshot()).unwrap();
             assert_eq!(restored.step(), original.step());
+        }
+    }
+
+    /// Byte offsets of the retired knob byte and the retired grid-layout
+    /// byte in `s`'s snapshot.
+    fn retired_byte_offsets(s: &Session) -> (usize, usize) {
+        let mut w = Writer::new();
+        write_config(&mut w, &s.config);
+        let knobs_at = w.buf.len() - 1;
+        write_region(&mut w, &s.region);
+        // The network section opens with γ, then the layout byte.
+        (knobs_at, w.buf.len() + 8)
+    }
+
+    #[test]
+    fn snapshots_with_switches_off_restore_to_the_same_engine() {
+        let mut s = session(30, 2, 13);
+        for _ in 0..6 {
+            s.step();
+        }
+        let snap = s.snapshot();
+        let (knobs_at, flat_at) = retired_byte_offsets(&s);
+        assert_eq!(snap[knobs_at], RETIRED_KNOBS);
+        assert_eq!(snap[flat_at], 1);
+        // What a session with every switch off wrote: knob byte 0x00,
+        // hash-grid preference.
+        let mut off = snap.clone();
+        off[knobs_at] = 0x00;
+        off[flat_at] = 0;
+        let mut a = SessionBuilder::restore(&snap).unwrap();
+        let mut b = SessionBuilder::restore(&off).unwrap();
+        assert_eq!(a.snapshot(), snap);
+        assert_eq!(
+            b.snapshot(),
+            snap,
+            "re-encoding writes the retired bytes as today"
+        );
+        for _ in 0..6 {
+            let (da, db) = (a.step(), b.step());
+            assert_eq!(da, db);
+        }
+        let bits = |s: &Session| {
+            let net = s.network();
+            let pos: Vec<(u64, u64)> = net
+                .positions()
+                .iter()
+                .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                .collect();
+            let radii: Vec<u64> = net.sensing_radii().iter().map(|r| r.to_bits()).collect();
+            (pos, radii)
+        };
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(a.snapshot(), b.snapshot());
+        // A knob byte no writer could have produced is still corrupt.
+        for bad in [0x80u8, 0xFF] {
+            let mut corrupt = snap.clone();
+            corrupt[knobs_at] = bad;
+            assert!(matches!(
+                SessionBuilder::restore(&corrupt).unwrap_err(),
+                SnapshotError::Corrupt(_)
+            ));
         }
     }
 

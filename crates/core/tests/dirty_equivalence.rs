@@ -1,16 +1,9 @@
-//! The dirty-node index — and the PR-5 active-set machinery layered on
-//! it (exact reach radii, ρ warm start, incremental adjacency), plus the
-//! PR-8 memory-layout knobs (flat dense spatial grid, per-worker arenas)
-//! — must be invisible in the results: a node is skipped only when
-//! nothing its previous search could have contacted moved, a
-//! warm-started search skips only checks whose inputs are provably
-//! unchanged, the patched adjacency snapshot is bit-identical to a
-//! rebuilt one, and the flat grid and pooled buffers reproduce the hash
-//! grid and fresh allocations byte for byte. A dynamic-event run
-//! (failures + churn + displacements) must therefore produce
-//! byte-identical histories with any combination of the knobs on or
-//! off, at any worker count — while quiescent rounds demonstrably
-//! perform **zero** ring searches when the index is on.
+//! The dirty-node index must skip work, not change it: quiescent rounds
+//! perform **zero** ring searches at any worker count, and a localized
+//! disturbance re-activates only the nodes it can reach. That the
+//! skipped work would have reproduced the stored views bit for bit is
+//! pinned separately, against a fresh session per round
+//! (`fresh_session_oracle.rs`).
 
 use laacad::{LaacadConfig, NetworkEvent, Session};
 use laacad_geom::Point;
@@ -18,17 +11,7 @@ use laacad_region::sampling::sample_uniform;
 use laacad_region::Region;
 use laacad_wsn::NodeId;
 
-/// The optimization knobs
-/// `(exact_reach, warm_start, incremental_index, flat_grid, arena)`.
-type ActiveSetKnobs = (bool, bool, bool, bool, bool);
-
-fn build_with(
-    n: usize,
-    k: usize,
-    dirty_skip: bool,
-    threads: usize,
-    knobs: ActiveSetKnobs,
-) -> Session {
+fn build(n: usize, k: usize, threads: usize) -> Session {
     let region = Region::square(1.0).unwrap();
     let config = LaacadConfig::builder(k)
         .transmission_range(LaacadConfig::recommended_gamma(1.0, n, k))
@@ -37,12 +20,6 @@ fn build_with(
         .max_rounds(500)
         .snapshot_every(40)
         .threads(threads)
-        .dirty_skip(dirty_skip)
-        .exact_reach(knobs.0)
-        .warm_start(knobs.1)
-        .incremental_index(knobs.2)
-        .flat_grid(knobs.3)
-        .arena(knobs.4)
         .build()
         .unwrap();
     let initial = sample_uniform(&region, n, 31337);
@@ -53,152 +30,39 @@ fn build_with(
         .unwrap()
 }
 
-fn build(n: usize, k: usize, dirty_skip: bool, threads: usize) -> Session {
-    build_with(n, k, dirty_skip, threads, (true, true, true, true, true))
-}
-
-/// Steps a 300-round dynamic run — a mid-run failure batch, churn
-/// (insertions), localized displacements (the partial-activity path the
-/// PR-5 knobs exist for), and a localized failure late — and
-/// fingerprints every observable artifact.
-fn run_fingerprint(dirty_skip: bool, threads: usize, knobs: ActiveSetKnobs) -> String {
-    let mut sim = build_with(40, 2, dirty_skip, threads, knobs);
-    for round in 1..=300usize {
-        sim.step();
-        if round == 80 {
-            sim.apply_event(NetworkEvent::FailNodes(
-                (0..7).map(|i| NodeId(i * 5)).collect(),
-            ))
-            .unwrap();
-        }
-        if round == 120 || round == 250 {
-            // External disturbance: nudge a handful of nodes without
-            // invalidating the stored views — the round after this is a
-            // genuinely partially-active round.
-            let nudged: Vec<(NodeId, Point)> = [1usize, 8, 15]
-                .iter()
-                .filter(|&&i| i < sim.network().len())
-                .map(|&i| {
-                    let p = sim.network().position(NodeId(i));
-                    (NodeId(i), Point::new(p.x * 0.95 + 0.02, p.y * 0.95 + 0.02))
-                })
-                .collect();
-            sim.displace_nodes(&nudged).unwrap();
-        }
-        if round == 150 {
-            sim.apply_event(NetworkEvent::InsertNodes(vec![
-                Point::new(0.48, 0.52),
-                Point::new(0.05, 0.95),
-                Point::new(0.9, 0.12),
-                Point::new(0.33, 0.66),
-            ]))
-            .unwrap();
-        }
-        if round == 220 {
-            sim.apply_event(NetworkEvent::FailNodes(vec![NodeId(3), NodeId(11)]))
-                .unwrap();
-        }
-    }
-    sim.finalize();
-    format!(
-        "rounds={:?}\nsnapshots={:?}\npositions={:?}\nradii={:?}",
-        sim.history().rounds(),
-        sim.history().snapshots(),
-        sim.network().positions(),
-        sim.network().sensing_radii().to_vec(),
-    )
-}
-
-#[test]
-fn dynamic_event_run_is_byte_identical_with_dirty_tracking_on_or_off() {
-    // Reference: every optimization off, serial.
-    let reference = run_fingerprint(false, 1, (false, false, false, false, false));
-    assert!(reference.contains("positions="));
-    for (dirty_skip, threads, knobs) in [
-        (true, 1, (false, false, false, false, false)),
-        (false, 4, (false, false, false, false, false)),
-        (true, 4, (false, false, false, false, false)),
-        // PR-5 knobs, individually and together, serial and parallel.
-        (true, 1, (true, false, false, false, false)),
-        (true, 1, (false, true, false, false, false)),
-        (true, 1, (false, false, true, false, false)),
-        (true, 1, (true, true, true, false, false)),
-        (true, 4, (true, true, true, false, false)),
-        // Knobs without the dirty index (incremental adjacency still
-        // bites; exact reach and warm start are inert).
-        (false, 1, (true, true, true, false, false)),
-        // PR-8 memory-layout knobs, individually and together, serial
-        // and parallel.
-        (true, 1, (true, true, true, true, false)),
-        (true, 1, (true, true, true, false, true)),
-        (true, 1, (true, true, true, true, true)),
-        (true, 4, (true, true, true, true, true)),
-        // Flat grid + arena without the dirty index (the network-side
-        // flat grid still bites; the classifier arena is inert).
-        (false, 4, (false, false, false, true, true)),
-    ] {
-        let other = run_fingerprint(dirty_skip, threads, knobs);
-        assert!(
-            reference == other,
-            "dirty_skip={dirty_skip} threads={threads} knobs={knobs:?} diverged \
-             from the everything-off serial history"
-        );
-    }
-}
-
 #[test]
 fn single_mover_reactivates_a_strict_subset_under_exact_reach() {
     // One displaced node after convergence: the exact-reach classifier
-    // must re-activate strictly fewer nodes than the blanket
-    // `ρ + (slack+1)γ` radius — its per-node radius is never larger —
-    // while the deployment output stays byte-identical.
-    let run = |exact_reach: bool| {
-        let region = Region::square(1.0).unwrap();
-        let config = LaacadConfig::builder(1)
-            .transmission_range(0.12)
-            .alpha(0.6)
-            .epsilon(1e-3)
-            .max_rounds(600)
-            .exact_reach(exact_reach)
-            .warm_start(false)
-            .incremental_index(false)
-            .build()
-            .unwrap();
-        let initial = sample_uniform(&region, 200, 77);
-        let mut sim = Session::builder(config)
-            .region(region)
-            .positions(initial)
-            .build()
-            .unwrap();
-        for _ in 0..600 {
-            if sim.step().report.converged {
-                break;
-            }
+    // re-activates only the nodes whose recorded search could have heard
+    // of the mover — never the whole deployment.
+    let region = Region::square(1.0).unwrap();
+    let config = LaacadConfig::builder(1)
+        .transmission_range(0.12)
+        .alpha(0.6)
+        .epsilon(1e-3)
+        .max_rounds(600)
+        .build()
+        .unwrap();
+    let initial = sample_uniform(&region, 200, 77);
+    let mut sim = Session::builder(config)
+        .region(region)
+        .positions(initial)
+        .build()
+        .unwrap();
+    for _ in 0..600 {
+        if sim.step().report.converged {
+            break;
         }
-        assert!(sim.is_converged(), "dense 200-node run converges");
-        sim.step(); // stored views now describe the final positions
-        let mover = NodeId(42);
-        let p = sim.network().position(mover);
-        let target = Point::new(p.x * 0.98 + 0.01, p.y * 0.98 + 0.01);
-        assert_eq!(sim.displace_nodes(&[(mover, target)]).unwrap(), 1);
-        let delta = sim.step();
-        let n = sim.network().len();
-        let fingerprint = format!(
-            "{:?}|{:?}",
-            sim.network().positions(),
-            sim.network().sensing_radii().to_vec()
-        );
-        (delta.ring_searches, n, fingerprint)
-    };
-    let (searches_exact, n, fp_exact) = run(true);
-    let (searches_blanket, _, fp_blanket) = run(false);
-    assert_eq!(fp_exact, fp_blanket, "deployments diverged");
+    }
+    assert!(sim.is_converged(), "dense 200-node run converges");
+    sim.step(); // stored views now describe the final positions
+    let mover = NodeId(42);
+    let p = sim.network().position(mover);
+    let target = Point::new(p.x * 0.98 + 0.01, p.y * 0.98 + 0.01);
+    assert_eq!(sim.displace_nodes(&[(mover, target)]).unwrap(), 1);
+    let delta = sim.step();
     assert!(
-        searches_exact < searches_blanket,
-        "exact reach must re-activate a strict subset: {searches_exact} vs {searches_blanket}"
-    );
-    assert!(
-        searches_blanket < n,
+        delta.ring_searches < sim.network().len(),
         "a single mover must not re-activate the whole deployment"
     );
 }
@@ -206,7 +70,7 @@ fn single_mover_reactivates_a_strict_subset_under_exact_reach() {
 #[test]
 fn quiescent_rounds_perform_zero_ring_searches_at_any_thread_count() {
     for threads in [1usize, 4] {
-        let mut sim = build(30, 2, true, threads);
+        let mut sim = build(30, 2, threads);
         // Converge, then take one extra round so the stored views
         // describe the final positions.
         while !sim.step().report.converged {}

@@ -472,11 +472,6 @@ impl AsyncExecutor {
     /// parallelizes over [`LaacadConfig::threads`] workers (0 = all
     /// cores); the result is bit-identical for every thread count.
     ///
-    /// The kernel-level local-view cache is disabled internally: node
-    /// rounds interleave arbitrarily under faults, outside the cadence
-    /// the cache's invalidation reasoning assumes — and cache on/off is
-    /// bit-identical anyway, so nothing is lost.
-    ///
     /// # Errors
     ///
     /// Propagates [`LaacadConfig::validate`] failures,
@@ -509,8 +504,6 @@ impl AsyncExecutor {
                 }
             }
         }
-        let mut config = config;
-        config.cache = false;
         let net = Network::from_positions(config.gamma, positions);
         let seed = config.seed;
         let link_rngs = (0..n as u64)

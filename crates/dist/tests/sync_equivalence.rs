@@ -39,13 +39,11 @@ fn radii_bits(net: &Network) -> Vec<u64> {
 
 /// ρ per node at the final positions, computed exactly the way the
 /// async finalizer computes it (fresh kernel run, no adjacency
-/// snapshot, cache off).
+/// snapshot).
 fn final_rhos(net: &Network, region: &Region, config: &LaacadConfig, round: usize) -> Vec<f64> {
-    let mut config = config.clone();
-    config.cache = false;
     let mut scratch = RoundScratch::new();
     (0..net.len())
-        .map(|i| compute_node_view(net, None, NodeId(i), region, &config, round, &mut scratch).rho)
+        .map(|i| compute_node_view(net, None, NodeId(i), region, config, round, &mut scratch).rho)
         .collect()
 }
 

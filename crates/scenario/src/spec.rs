@@ -384,32 +384,6 @@ pub struct AlgorithmSpec {
     /// one cell per core, so per-cell parallelism would oversubscribe.
     /// Results are bit-identical for every value.
     pub threads: Option<usize>,
-    /// Cross-round local-view cache (default on). Results are
-    /// bit-identical with the cache off; the knob exists so ablations
-    /// and tests can diff cached vs. uncached histories.
-    pub cache: bool,
-    /// Dirty-node index (default on): skip the expanding-ring search
-    /// for nodes whose ρ-neighborhood saw no movement. Results are
-    /// bit-identical with the index off.
-    pub dirty_skip: bool,
-    /// Exact reach radii for the dirty classifier (default on). Results
-    /// are bit-identical with the knob off.
-    pub exact_reach: bool,
-    /// ρ warm start for re-activated ring searches (default on).
-    /// Results are bit-identical with the knob off.
-    pub warm_start: bool,
-    /// Incremental adjacency-snapshot maintenance (default on). Results
-    /// are bit-identical with the knob off.
-    pub incremental_index: bool,
-    /// Flat dense spatial grid for the network and classifier indexes
-    /// (default on; falls back to the hash grid per-build when the point
-    /// cloud is too sparse). Results are bit-identical with the knob
-    /// off.
-    pub flat_grid: bool,
-    /// Per-worker arena reuse of the round engine's `O(N)` transient
-    /// buffers (default on). Results are bit-identical with the knob
-    /// off.
-    pub arena: bool,
     /// Per-cell telemetry recording (default off). Honored by the
     /// campaign runner — not by [`LaacadConfig`], which telemetry never
     /// touches: when set, [`crate::campaign::run_campaign_observed`]
@@ -439,18 +413,23 @@ impl Default for AlgorithmSpec {
             ring_cap: RingCapPolicy::Exact,
             snapshot_every: None,
             threads: None,
-            cache: true,
-            dirty_skip: true,
-            exact_reach: true,
-            warm_start: true,
-            incremental_index: true,
-            flat_grid: true,
-            arena: true,
             telemetry: false,
             faults: None,
         }
     }
 }
+
+/// `[laacad]` keys of engine switches that no longer exist: each
+/// mechanism is always on, and decoding a spec that names one fails.
+const RETIRED_ENGINE_SWITCHES: [&str; 7] = [
+    "cache",
+    "dirty_skip",
+    "exact_reach",
+    "warm_start",
+    "incremental_index",
+    "flat_grid",
+    "arena",
+];
 
 impl AlgorithmSpec {
     /// Builds the concrete config for a region with `n` initial nodes.
@@ -480,18 +459,22 @@ impl AlgorithmSpec {
         if let Some(threads) = self.threads {
             builder.threads(threads);
         }
-        builder.cache(self.cache);
-        builder.dirty_skip(self.dirty_skip);
-        builder.exact_reach(self.exact_reach);
-        builder.warm_start(self.warm_start);
-        builder.incremental_index(self.incremental_index);
-        builder.flat_grid(self.flat_grid);
-        builder.arena(self.arena);
         builder.build().map_err(|e| SpecError::Build(e.to_string()))
     }
 
     fn from_value(v: &Value, path: &str) -> Result<Self, SpecError> {
         let d = AlgorithmSpec::default();
+        // A spec asking for a removed switch would otherwise be ignored
+        // and run something other than what it says; refuse it instead.
+        for key in RETIRED_ENGINE_SWITCHES {
+            if v.get(key).is_some() {
+                return Err(DecodeError::new(
+                    format!("{path}.{key}"),
+                    format!("`{key}` was removed: its behaviour is now always on"),
+                )
+                .into());
+            }
+        }
         let execution = match decode::opt_str(v, "execution", path)? {
             None => d.execution,
             Some(s) => match s.as_str() {
@@ -556,14 +539,6 @@ impl AlgorithmSpec {
             ring_cap,
             snapshot_every: decode::opt_usize(v, "snapshot_every", path)?,
             threads: decode::opt_usize(v, "threads", path)?,
-            cache: decode::opt_bool(v, "cache", path)?.unwrap_or(d.cache),
-            dirty_skip: decode::opt_bool(v, "dirty_skip", path)?.unwrap_or(d.dirty_skip),
-            exact_reach: decode::opt_bool(v, "exact_reach", path)?.unwrap_or(d.exact_reach),
-            warm_start: decode::opt_bool(v, "warm_start", path)?.unwrap_or(d.warm_start),
-            incremental_index: decode::opt_bool(v, "incremental_index", path)?
-                .unwrap_or(d.incremental_index),
-            flat_grid: decode::opt_bool(v, "flat_grid", path)?.unwrap_or(d.flat_grid),
-            arena: decode::opt_bool(v, "arena", path)?.unwrap_or(d.arena),
             telemetry: decode::opt_bool(v, "telemetry", path)?.unwrap_or(d.telemetry),
             // Decoded from the document's top-level `faults` table by
             // `ScenarioSpec::from_value`, not from the laacad table.
@@ -621,27 +596,6 @@ impl AlgorithmSpec {
         }
         if let Some(threads) = self.threads {
             t.insert("threads", encode::int(threads));
-        }
-        if self.cache != d.cache {
-            t.insert("cache", Value::Bool(self.cache));
-        }
-        if self.dirty_skip != d.dirty_skip {
-            t.insert("dirty_skip", Value::Bool(self.dirty_skip));
-        }
-        if self.exact_reach != d.exact_reach {
-            t.insert("exact_reach", Value::Bool(self.exact_reach));
-        }
-        if self.warm_start != d.warm_start {
-            t.insert("warm_start", Value::Bool(self.warm_start));
-        }
-        if self.incremental_index != d.incremental_index {
-            t.insert("incremental_index", Value::Bool(self.incremental_index));
-        }
-        if self.flat_grid != d.flat_grid {
-            t.insert("flat_grid", Value::Bool(self.flat_grid));
-        }
-        if self.arena != d.arena {
-            t.insert("arena", Value::Bool(self.arena));
         }
         if self.telemetry != d.telemetry {
             t.insert("telemetry", Value::Bool(self.telemetry));
@@ -1778,6 +1732,17 @@ mod tests {
         let doc = "name = \"x\"\n[region]\nkind = \"sphere\"\n";
         let msg = ScenarioSpec::from_toml(doc).unwrap_err().to_string();
         assert!(msg.contains("region.kind"), "{msg}");
+        // Removed engine switches fail at their own path, on or off.
+        let text = sample_spec().to_toml();
+        let header = text.find("laacad]\n").expect("laacad table") + "laacad]\n".len();
+        for key in RETIRED_ENGINE_SWITCHES {
+            for value in ["false", "true"] {
+                let doc = format!("{}{key} = {value}\n{}", &text[..header], &text[header..]);
+                let msg = ScenarioSpec::from_toml(&doc).unwrap_err().to_string();
+                assert!(msg.contains(&format!("laacad.{key}")), "{msg}");
+                assert!(msg.contains("always on"), "{msg}");
+            }
+        }
     }
 
     #[test]
