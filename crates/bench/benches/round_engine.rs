@@ -142,6 +142,14 @@ const SMOKE_GUARD_FACTOR: f64 = 3.0;
 /// to `N`.
 const SMOKE_PARTIAL_SEARCH_FRACTION: f64 = 0.30;
 
+/// Smoke-mode serve-like guard: the round reacting to a 1% localized
+/// displacement of a converged N = 10³, k = 1 deployment (the operator
+/// path's repair step) may run at most this many ring searches. The
+/// hop-distance classifier runs 96 there (a Euclidean contact-radius
+/// classifier ran 154); the ceiling is twice the measured count, so
+/// only a multiplicative loss of classification precision trips it.
+const SMOKE_SERVE_SEARCH_CEILING: usize = 192;
+
 /// Steady-state allocation ceiling. A converged round still builds its
 /// per-round decision vector (O(1) allocations); any polygon-vertex or
 /// ring-check allocation would show up once per node, i.e. ≥ N — so a
@@ -664,6 +672,19 @@ fn smoke() {
              ({:.1}% of N, limit {:.0}%) {verdict}",
             fraction * 100.0,
             SMOKE_PARTIAL_SEARCH_FRACTION * 100.0,
+        );
+        failed |= !ok;
+    }
+    // A serve-like repair round: 1% localized movers at N = 10³, k = 1
+    // must stay under a fixed ring-search ceiling.
+    {
+        let n = 1_000;
+        let (dt, searches, movers) = partial_round(n, 1, 0.01, 1);
+        let ok = searches <= SMOKE_SERVE_SEARCH_CEILING;
+        let verdict = if ok { "ok" } else { "SERVE-REPAIR REGRESSION" };
+        eprintln!(
+            "smoke serve-like N={n} k=1 movers={movers}: {dt:.4}s, {searches} ring searches \
+             (ceiling {SMOKE_SERVE_SEARCH_CEILING}) {verdict}"
         );
         failed |= !ok;
     }

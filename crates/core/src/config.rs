@@ -53,7 +53,7 @@ pub enum RingCapPolicy {
 /// The fields are the algorithm's parameters plus run bookkeeping
 /// (round limit, snapshots, worker count). The engine's work-saving
 /// mechanisms — the cross-round view cache, the dirty-node index with
-/// exact reach radii and the ρ warm start, the incremental adjacency
+/// its hop-distance classifier and the ρ warm start, the incremental adjacency
 /// patch, the flat spatial grid and the session arenas — are not
 /// configurable: each reproduces the from-scratch computation bit for
 /// bit.

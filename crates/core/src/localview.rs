@@ -78,11 +78,6 @@ pub struct NodeView {
     pub chebyshev: Option<Circle>,
     /// `max_{v ∈ V^k_i} ‖v − u_i‖` from the node's true position.
     pub reach: f64,
-    /// Exact maximal contact distance of the ring search — the farthest
-    /// node the multi-hop BFS ever explored (see
-    /// [`crate::RingStatus::contact_radius`]). The dirty-node classifier
-    /// uses it as the node's true sphere of influence.
-    pub contact_radius: f64,
     /// Whether the view was served from the cross-round cache.
     pub cache_hit: bool,
 }
@@ -293,7 +288,6 @@ fn geometry_stage(
         messages: status.messages,
         chebyshev,
         reach,
-        contact_radius: status.contact_radius,
         cache_hit: false,
     }
 }
@@ -327,7 +321,6 @@ fn cached_node_view(
             messages: status.messages,
             chebyshev: entry.chebyshev,
             reach: entry.reach,
-            contact_radius: status.contact_radius,
             cache_hit: true,
         };
     }
@@ -370,7 +363,6 @@ fn cached_node_view(
         messages: status.messages,
         chebyshev,
         reach,
-        contact_radius: status.contact_radius,
         cache_hit: false,
     }
 }

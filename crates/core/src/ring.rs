@@ -234,16 +234,6 @@ pub struct RingStatus {
     pub saturated: bool,
     /// Messages spent on the search.
     pub messages: MessageStats,
-    /// Exact maximal contact distance of the whole search: the farthest
-    /// node the multi-hop BFS ever explored (members, relays, broadcast
-    /// accounting — see [`RingQuery::contact_radius`]). Any node beyond
-    /// this distance had no influence on the outcome, which is what lets
-    /// the dirty-node classifier bound re-activation by what the search
-    /// *actually* touched instead of the `ρ + (slack+1)γ` hop-path
-    /// worst case.
-    ///
-    /// [`RingQuery::contact_radius`]: laacad_wsn::multihop::RingQuery::contact_radius
-    pub contact_radius: f64,
 }
 
 /// The allocation-free core of [`expanding_ring_search_scratched`]:
@@ -343,14 +333,12 @@ pub fn expanding_ring_search_status_warm(
                 }
             };
             if dominated {
-                let contact_radius = query.contact_radius();
                 return RingStatus {
                     rho,
                     stages,
                     dominated: true,
                     saturated: false,
                     messages,
-                    contact_radius,
                 };
             }
         }
@@ -375,14 +363,12 @@ pub fn expanding_ring_search_status_warm(
                 competitors.clear();
                 competitors.extend(query.members().iter().map(|&m| net.position(NodeId(m))));
             }
-            let contact_radius = query.contact_radius();
             return RingStatus {
                 rho,
                 stages,
                 dominated: false,
                 saturated: true,
                 messages,
-                contact_radius,
             };
         }
     }
@@ -512,8 +498,8 @@ mod tests {
         // The warm start's mechanical contract, pinned the same way the
         // incremental frontier was in PR 2: for any skip strictly below
         // the cold search's stage count, the outcome — ρ, verdicts,
-        // messages, contact radius, members, competitor buffer — is
-        // byte-identical to the cold search.
+        // messages, members, competitor buffer — is byte-identical to
+        // the cold search.
         let region = Region::square(1.0).unwrap();
         let net = dense_grid_network(0.1, 11, 0.15);
         for id in [0usize, 27, 60] {
@@ -559,11 +545,6 @@ mod tests {
                     assert_eq!(warm.dominated, cold.dominated, "id={id} k={k} skip={skip}");
                     assert_eq!(warm.saturated, cold.saturated, "id={id} k={k} skip={skip}");
                     assert_eq!(warm.messages, cold.messages, "id={id} k={k} skip={skip}");
-                    assert_eq!(
-                        warm.contact_radius.to_bits(),
-                        cold.contact_radius.to_bits(),
-                        "id={id} k={k} skip={skip}"
-                    );
                     assert_eq!(scratch2.last_members(), cold_members.as_slice());
                     assert_eq!(competitors2, cold_competitors, "id={id} k={k} skip={skip}");
                 }
@@ -609,11 +590,6 @@ mod tests {
         assert_eq!(sa.dominated, sb.dominated, "{what}");
         assert_eq!(sa.saturated, sb.saturated, "{what}");
         assert_eq!(sa.messages, sb.messages, "{what}");
-        assert_eq!(
-            sa.contact_radius.to_bits(),
-            sb.contact_radius.to_bits(),
-            "{what}"
-        );
         assert_eq!(ma, mb, "{what}");
         assert_eq!(ca, cb, "{what}");
     }

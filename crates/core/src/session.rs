@@ -11,17 +11,17 @@
 //!
 //! The delta is not just reporting: the engine feeds it back into a
 //! **dirty-node index**. LAACAD moves nodes by at most `αγ` per round
-//! and most nodes stop moving long before the last one does; a node
-//! whose entire ρ-neighborhood (plus the multi-hop slack margin) saw no
-//! movement since its previous computation would re-derive exactly the
-//! same local view, so the engine skips its expanding-ring search and
-//! domination sweep entirely and replays the stored view. The skip
-//! criterion is conservative and exact — it covers every node the
-//! previous search could possibly have contacted — so every round is
-//! bit-identical to a from-scratch computation, at any worker count
-//! (pinned by `tests/fresh_session_oracle.rs`, which replays each round
-//! of a long-lived session on a freshly built one). A fully quiescent
-//! network steps in `O(N)` time with **zero** ring searches.
+//! and most nodes stop moving long before the last one does. A node's
+//! search reads the adjacency rows within `hop_budget(ρ) − 1` hops of
+//! it and the positions of the nodes within `ρ`; when no row that close
+//! changed and no mover started or ended inside its ring, it would
+//! re-derive exactly the same local view, so the engine skips its
+//! expanding-ring search and domination sweep entirely and replays the
+//! stored view. The test is exact, not a distance heuristic, so every
+//! round is bit-identical to a from-scratch computation, at any worker
+//! count (pinned by `tests/fresh_session_oracle.rs`, which replays each
+//! round of a long-lived session on a freshly built one). A fully
+//! quiescent network steps in `O(N)` time with **zero** ring searches.
 //!
 //! Rounds are synchronous by default: every node computes its dominating
 //! region and Chebyshev center from the same position snapshot, then all
@@ -47,7 +47,7 @@ use laacad_telemetry::{Recorder, Stage};
 use laacad_wsn::mobility::step_toward;
 use laacad_wsn::multihop::{hop_budget, DEFAULT_HOP_SLACK};
 use laacad_wsn::radio::MessageStats;
-use laacad_wsn::{Adjacency, GridIndex, Network, NodeId};
+use laacad_wsn::{Adjacency, Network, NodeId};
 
 /// One node's movement during a round: id plus the exact positions
 /// before and after the vertex step.
@@ -277,18 +277,31 @@ pub struct Session {
 }
 
 /// Session-owned arena recycling the dirty-node classifier's per-round
-/// buffers — the movement-endpoint cloud, the dirty mask and the
-/// warm-skip table. They are taken at classification, fully reset to
-/// their fresh-allocation state, and returned at the end of the round,
-/// so a steady stream of partially-active rounds re-uses one high-water
-/// allocation instead of allocating (and zeroing the heap for) three
-/// `O(N)` vectors per round.
+/// buffers. They are taken at classification, fully reset to their
+/// fresh-allocation state, and returned by the end of the round, so a
+/// steady stream of partially-active rounds re-uses one high-water
+/// allocation instead of allocating (and zeroing the heap for) `O(N)`
+/// vectors per round.
 #[derive(Debug, Default)]
 pub(crate) struct ClassifyPool {
-    endpoints: Vec<Point>,
-    mask: Vec<bool>,
-    warm: Vec<u32>,
+    /// Hop distance to the nearest changed adjacency row; rewritten in
+    /// place into the round's per-node verdicts.
+    hops: Vec<u32>,
+    /// The multi-source BFS queue behind `hops`.
+    queue: Vec<u32>,
+    /// Spatial query results around one mover endpoint.
+    near: Vec<usize>,
 }
+
+/// Per-node verdict of a partially-active round: replay the stored view.
+/// Any other verdict re-runs the search with that many leading
+/// domination checks warm-skipped.
+const REPLAY: u32 = u32::MAX;
+
+/// Margin of the classifier's ring test. The ring search admits members
+/// within `ρ + 1e-12`; testing mover endpoints against the wider
+/// `ρ + RING_SLACK` keeps every possible member inside the test.
+const RING_SLACK: f64 = 1e-9;
 
 impl Session {
     /// Starts a builder from a finished configuration.
@@ -406,6 +419,12 @@ impl Session {
             && self.config.coordinates == CoordinateMode::Oracle
     }
 
+    /// Whether the stored views describe the positions the last movement
+    /// set started from, so the dirty-node index may replay them.
+    fn views_replayable(&self) -> bool {
+        self.dirty_skip_active() && self.views_valid && self.views.len() == self.net.len()
+    }
+
     /// The worker count for shared-snapshot phases, per the `threads`
     /// knob (Gauss–Seidel execution is serial by definition).
     fn workers(&self) -> usize {
@@ -430,35 +449,22 @@ impl Session {
         }
     }
 
-    /// The safe re-activation radius of a stored view: a mover outside
-    /// this ball of the node cannot have influenced — and cannot now
-    /// influence — the node's search or geometry.
-    ///
-    /// The bound is what the search *actually* touched: every contacted
-    /// node (members, relays, broadcast accounting) lies within the
-    /// recorded `contact_radius`, every Euclidean-filter candidate within
-    /// `ρ`, and an arriving node can only join the flood by coming within
-    /// one `γ` of a contacted node — hence `max(contact_radius, ρ) + γ`.
-    fn safe_radius(&self, view: &NodeView) -> f64 {
-        view.contact_radius.max(view.rho) + self.config.gamma + 1e-9
-    }
-
     /// How many leading ring-search expansions of a re-activated node
-    /// may skip their domination checks: stage `j` explores at most
-    /// `hop_budget(ρ_j)·γ` from the node (one extra `γ` of margin is
-    /// granted for arrivals), so while that sphere stays strictly inside
-    /// the distance to the nearest mover, the stage's inputs are exactly
-    /// what they were when the stored search evaluated it — and its
-    /// check failed then. The terminating stage is never skipped.
-    fn warm_skip_for(&self, view: &NodeView, clearance: f64) -> u32 {
+    /// may skip their domination checks. Stage `j` reads the adjacency
+    /// rows within `hop_budget(ρ_j) − 1` hops of the node and the
+    /// positions of its members within `ρ_j`; while `unchanged(ρ_j)`
+    /// holds, no changed row or mover endpoint is that close, so the
+    /// stage sees exactly what the stored search's stage `j` saw — and
+    /// that check failed. The count only shrinks as `unchanged` gets
+    /// stricter, so the bound of several changes is the minimum of
+    /// theirs. The terminating stage is never skipped.
+    fn warm_skip(&self, view: &NodeView, unchanged: impl Fn(f64) -> bool) -> u32 {
         let gamma = self.config.gamma;
-        let max_skip = view.rho_stages.saturating_sub(1);
-        let mut skip = 0usize;
+        let mut skip = 0;
         let mut rho = 0.0;
-        while skip < max_skip {
+        while skip + 1 < view.rho_stages {
             rho += gamma;
-            let hops = hop_budget(rho, gamma, DEFAULT_HOP_SLACK);
-            if (hops as f64 + 1.0) * gamma + 1e-9 >= clearance {
+            if !unchanged(rho) {
                 break;
             }
             skip += 1;
@@ -466,96 +472,117 @@ impl Session {
         skip as u32
     }
 
-    /// Classifies this round's work for the dirty-node index.
+    /// Classifies this round's work for the dirty-node index, after
+    /// [`Session::refresh_adjacency`] has run (`patched` tells whether
+    /// it patched the snapshot from the movement set).
     ///
-    /// A stored view may be replayed only if *no* node that the previous
-    /// search could have contacted has moved; [`Session::safe_radius`]
-    /// bounds that sphere of influence per node, and a mover is relevant
-    /// if its old *or* new position falls inside it (leaving changes
-    /// membership as surely as arriving). Movers are probed through a
-    /// spatial index over the round's movement endpoints, so the
-    /// classification costs `O(N + M)` plus the local candidates rather
-    /// than `O(N·M)`. For each re-activated node the distance to its
-    /// nearest mover is also recorded — the clearance the ρ warm start
-    /// feeds on. The classification runs serially before the parallel
-    /// fan-out, so it is identical for every worker count.
-    fn classify_dirty(&mut self) -> DirtyClass {
-        let n = self.net.len();
-        if !self.dirty_skip_active() || !self.views_valid || self.views.len() != n {
+    /// Node `i`'s stored search flooded `hop_budget(ρ_i)` hops: it read
+    /// the adjacency rows of every node closer than that, and the
+    /// positions of its members, all within `ρ_i`. Its view is replayed
+    /// unless
+    ///
+    /// * **(a)** a row the patch changed lies fewer than
+    ///   `hop_budget(ρ_i)` hops from `i` — otherwise every row the flood
+    ///   reads is unchanged, so its BFS levels are too; or
+    /// * **(b)** a mover's old or new position lies within `ρ_i` (plus
+    ///   [`RING_SLACK`]) — otherwise no member moved and no node entered
+    ///   or left the ring. Every mover is caught here by its own new
+    ///   position.
+    ///
+    /// One multi-source BFS over the patched CSR, seeded from the changed
+    /// rows and cut at the largest hop budget, answers (a) for every node
+    /// at once; one spatial query per mover endpoint answers (b). Both
+    /// also bound the ρ warm start ([`Session::warm_skip`]). The
+    /// classification runs serially before the parallel fan-out, so it is
+    /// identical for every worker count.
+    fn classify_dirty(&mut self, patched: bool) -> DirtyClass {
+        if !self.views_replayable() {
             return DirtyClass::AllDirty;
         }
         if self.last_movers.is_empty() {
             return DirtyClass::AllClean;
         }
-        // With a large mover set nearly everything is dirty anyway;
-        // skip the classification. Purely a work heuristic — recomputing
-        // a clean node reproduces its stored view exactly.
-        if self.last_movers.len() * 4 >= n {
+        // Only a move-delta patch knows which rows changed. A rebuilt
+        // snapshot (a large mover set) leaves nothing to seed from.
+        if !patched {
             return DirtyClass::AllDirty;
         }
-        // The round-transient buffers come out of the session pool; every
-        // one is reset to exactly its fresh-allocation state before use.
-        let mut endpoints = std::mem::take(&mut self.pool.endpoints);
-        endpoints.clear();
-        endpoints.extend(self.last_movers.iter().flat_map(|m| [m.from, m.to]));
-        // One grid over the movement endpoints, celled at the largest
-        // safe radius so every per-node probe touches at most 9 cells.
-        let mut max_safe = self.config.gamma;
-        for view in &self.views {
-            max_safe = max_safe.max(self.safe_radius(view));
-        }
-        let grid = GridIndex::build(&endpoints, max_safe);
-        let mut mask = std::mem::take(&mut self.pool.mask);
-        mask.clear();
-        mask.resize(n, false);
-        let mut warm = std::mem::take(&mut self.pool.warm);
-        warm.clear();
-        warm.resize(n, 0u32);
-        for m in &self.last_movers {
-            mask[m.id.index()] = true;
-        }
-        // A clearance at or below the first expansion's sphere of
-        // influence can never earn a warm skip, so the nearest-mover
-        // probe may stop refining there — the verdicts are identical to
-        // an exact scan of every mover.
+        let n = self.net.len();
         let gamma = self.config.gamma;
-        let stage1_ball = (hop_budget(gamma, gamma, DEFAULT_HOP_SLACK) as f64 + 1.0) * gamma + 1e-9;
-        // Bounding box of the endpoint cloud: a node farther from the box
-        // than its safe radius provably has no mover in range — the
-        // common case under a localized disturbance — and skips the grid
-        // probe entirely.
-        let bb = laacad_geom::Aabb::from_points(endpoints.iter().copied())
-            .expect("movement set is non-empty");
-        let (bb_min, bb_max) = (bb.min(), bb.max());
-        for i in 0..n {
-            if mask[i] {
-                continue; // movers always recompute, cold
+        let (mut max_budget, mut max_rho) = (0usize, 0.0f64);
+        for view in &self.views {
+            max_budget = max_budget.max(hop_budget(view.rho, gamma, DEFAULT_HOP_SLACK));
+            max_rho = max_rho.max(view.rho);
+        }
+        // (a): hop distance to the nearest changed row. Labels stop at
+        // `max_budget − 1`; anything farther is beyond every budget.
+        let mut hops = std::mem::take(&mut self.pool.hops);
+        hops.clear();
+        hops.resize(n, u32::MAX);
+        let mut queue = std::mem::take(&mut self.pool.queue);
+        queue.clear();
+        for &row in self.adjacency.changed_rows() {
+            hops[row as usize] = 0;
+            queue.push(row);
+        }
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let next = hops[u as usize] + 1;
+            if next as usize >= max_budget {
+                break; // the queue is in hop order
             }
-            let p = self.net.position(NodeId(i));
-            let safe = self.safe_radius(&self.views[i]);
-            let dx = (bb_min.x - p.x).max(p.x - bb_max.x).max(0.0);
-            let dy = (bb_min.y - p.y).max(p.y - bb_max.y).max(0.0);
-            if dx * dx + dy * dy > safe * safe {
-                continue;
-            }
-            let clearance = grid.min_distance_within(&endpoints, p, safe, stage1_ball.min(safe));
-            if clearance <= safe {
-                mask[i] = true;
-                warm[i] = self.warm_skip_for(&self.views[i], clearance);
+            for &v in self.adjacency.neighbors(u as usize) {
+                if hops[v as usize] == u32::MAX {
+                    hops[v as usize] = next;
+                    queue.push(v);
+                }
             }
         }
-        self.pool.endpoints = endpoints;
-        DirtyClass::Partial(PartialDirty { mask, warm })
+        // Verdicts of (a), written over the hop distances they are read
+        // from.
+        for (d, view) in hops.iter_mut().zip(&self.views) {
+            let hops_away = *d as usize;
+            *d = if *d == u32::MAX || hops_away >= hop_budget(view.rho, gamma, DEFAULT_HOP_SLACK) {
+                REPLAY
+            } else {
+                self.warm_skip(view, |rho| {
+                    hops_away >= hop_budget(rho, gamma, DEFAULT_HOP_SLACK)
+                })
+            };
+        }
+        // (b): every mover endpoint inside a node's ring re-activates it
+        // and bounds its warm start. A node clean under (a) has all its
+        // stages' floods unchanged, so this bound alone is its verdict.
+        let mut near = std::mem::take(&mut self.pool.near);
+        for m in &self.last_movers {
+            for endpoint in [m.from, m.to] {
+                self.net
+                    .nodes_within_into(endpoint, max_rho + RING_SLACK, &mut near);
+                for &j in &near {
+                    let view = &self.views[j];
+                    let d_sq = self.net.position(NodeId(j)).distance_sq(endpoint);
+                    let outside = |rho: f64| d_sq > (rho + RING_SLACK) * (rho + RING_SLACK);
+                    if !outside(view.rho) {
+                        hops[j] = hops[j].min(self.warm_skip(view, outside));
+                    }
+                }
+            }
+        }
+        self.pool.queue = queue;
+        self.pool.near = near;
+        DirtyClass::Partial(hops)
     }
 
     /// Brings the shared adjacency snapshot up to date with the current
     /// positions: a no-op when fresh, a move-delta patch when the exact
     /// movement set since it was fresh is known (and small enough to be
-    /// worth it), a full rebuild otherwise.
-    fn refresh_adjacency(&mut self) {
+    /// worth it), a full rebuild otherwise. Returns whether it patched —
+    /// only then does [`Adjacency::changed_rows`] describe this round.
+    fn refresh_adjacency(&mut self) -> bool {
         let n = self.net.len();
-        match self.adjacency_state {
-            AdjacencyState::Fresh => return,
+        let patched = match self.adjacency_state {
+            AdjacencyState::Fresh => return false,
             AdjacencyState::StaleMoves
                 if self.adjacency.len() == n && self.last_movers.len() * 4 < n =>
             {
@@ -566,13 +593,16 @@ impl Session {
                         .map(|m| (m.id.index(), m.from, m.to)),
                 );
                 self.counters.adjacency_incremental_updates += 1;
+                true
             }
             _ => {
                 self.adjacency.rebuild(&self.net);
                 self.counters.adjacency_rebuilds += 1;
+                false
             }
-        }
+        };
         self.adjacency_state = AdjacencyState::Fresh;
+        patched
     }
 
     /// Executes one round of Algorithm 1, records it, and returns the
@@ -646,8 +676,17 @@ impl Session {
     fn step_synchronous(&mut self) -> RoundDelta {
         let n = self.net.len();
         let telemetry = self.telemetry_on();
+        // A quiescent round replays every stored view and touches
+        // neither the scratches nor the adjacency snapshot.
+        let mut patched = false;
+        if !(self.views_replayable() && self.last_movers.is_empty()) {
+            self.ensure_scratches(self.workers());
+            let stage_started = telemetry.then(std::time::Instant::now);
+            patched = self.refresh_adjacency();
+            self.record_span(Stage::Adjacency, stage_started);
+        }
         let stage_started = telemetry.then(std::time::Instant::now);
-        let dirty = self.classify_dirty();
+        let dirty = self.classify_dirty(patched);
         self.record_span(Stage::Classify, stage_started);
         let views: Vec<NodeView>;
         let rho_changed;
@@ -661,27 +700,20 @@ impl Session {
             views = std::mem::take(&mut self.views);
             rho_changed = 0;
         } else {
-            self.ensure_scratches(self.workers());
-            let stage_started = telemetry.then(std::time::Instant::now);
-            self.refresh_adjacency();
-            self.record_span(Stage::Adjacency, stage_started);
             for scratch in &mut self.scratches {
                 scratch.telemetry.arm(telemetry);
             }
             let (net, region, config) = (&self.net, &self.region, &self.config);
             let (round, adjacency) = (self.round, &self.adjacency);
             let old_views = &self.views;
-            let partial = match &dirty {
-                DirtyClass::Partial(partial) => Some(partial),
+            let verdicts = match &dirty {
+                DirtyClass::Partial(verdicts) => Some(verdicts),
                 _ => None,
             };
             views = parallel_map_scratched(&mut self.scratches, n, |scratch, i| {
-                let mut warm_skip = 0usize;
-                if let Some(partial) = partial {
-                    if !partial.mask[i] {
-                        return old_views[i];
-                    }
-                    warm_skip = partial.warm[i] as usize;
+                let verdict = verdicts.map_or(0, |v| v[i]);
+                if verdict == REPLAY {
+                    return old_views[i];
                 }
                 compute_node_view_warm(
                     net,
@@ -690,7 +722,7 @@ impl Session {
                     region,
                     config,
                     round,
-                    warm_skip,
+                    verdict as usize,
                     scratch,
                 )
             });
@@ -707,16 +739,13 @@ impl Session {
             // Work accounting: skipped nodes replayed a stored view; the
             // rest ran a ring search and either hit or missed the cache.
             for (i, view) in views.iter().enumerate() {
-                let computed = match partial {
-                    Some(partial) => partial.mask[i],
-                    None => true,
-                };
-                if computed {
+                let verdict = verdicts.map_or(0, |v| v[i]);
+                if verdict != REPLAY {
                     ring_searches += 1;
                     if view.cache_hit {
                         cache_hits += 1;
                     }
-                    if partial.is_some_and(|partial| partial.warm[i] > 0) {
+                    if verdict > 0 {
                         warm_started += 1;
                     }
                 }
@@ -765,11 +794,10 @@ impl Session {
             // with next round.
             self.adjacency_state = AdjacencyState::StaleMoves;
         }
-        // Recycle the classifier's O(N) buffers into the session pool so
-        // the next partially-active round reuses their allocations.
-        if let DirtyClass::Partial(PartialDirty { mask, warm }) = dirty {
-            self.pool.mask = mask;
-            self.pool.warm = warm;
+        // Recycle the verdict buffer into the session pool so the next
+        // partially-active round reuses its allocation.
+        if let DirtyClass::Partial(verdicts) = dirty {
+            self.pool.hops = verdicts;
         }
         self.counters.warm_started += warm_started;
         self.views = views;
@@ -852,9 +880,10 @@ impl Session {
         } else {
             n
         };
-        if !moved.is_empty() {
+        if !moved.is_empty() || self.adjacency_state == AdjacencyState::StaleMoves {
             // Gauss–Seidel rounds never refresh the snapshot mid-sweep,
-            // so no recorded delta relates it to the final positions.
+            // and the movement set is cleared below, so no recorded delta
+            // relates it to the final positions any more.
             self.adjacency_state = AdjacencyState::StaleFull;
         }
         self.views = views;
@@ -1134,6 +1163,7 @@ impl Session {
                 return Err(LaacadError::NodeOutsideRegion { index: i });
             }
         }
+        let pending = self.last_movers.len();
         let mut displaced = 0;
         for &(id, target) in moves {
             let from = self.net.position(id);
@@ -1152,11 +1182,18 @@ impl Session {
         }
         if displaced > 0 {
             self.net.apply_displacements(moves);
-            // A fresh (or move-delta-patchable) snapshot stays patchable:
-            // the displacements were appended to `last_movers`, keeping
-            // it the exact delta since the snapshot was fresh.
+            // A move-delta-patchable snapshot stays patchable: the
+            // displacements were appended to `last_movers`, keeping it the
+            // exact delta since the snapshot was fresh. So does a fresh
+            // one, unless `finalize` refreshed it past movers the stored
+            // views predate: patching it with those again would leave the
+            // rows they changed out of the classifier's seed set.
             if self.adjacency_state == AdjacencyState::Fresh {
-                self.adjacency_state = AdjacencyState::StaleMoves;
+                self.adjacency_state = if pending == 0 {
+                    AdjacencyState::StaleMoves
+                } else {
+                    AdjacencyState::StaleFull
+                };
             }
             self.converged = false;
         }
@@ -1173,11 +1210,7 @@ impl Session {
         let n = self.net.len();
         let telemetry = self.telemetry_on();
         let stage_started = telemetry.then(std::time::Instant::now);
-        if self.dirty_skip_active()
-            && self.views_valid
-            && self.last_movers.is_empty()
-            && self.views.len() == n
-        {
+        if self.views_replayable() && self.last_movers.is_empty() {
             for i in 0..n {
                 self.net.set_sensing_radius(NodeId(i), self.views[i].reach);
             }
@@ -1246,24 +1279,17 @@ enum DirtyClass {
     /// No movement since the stored views were computed: every node
     /// replays its view.
     AllClean,
-    /// Per-node verdicts.
-    Partial(PartialDirty),
-}
-
-/// The per-node verdicts of a partially-active round.
-#[derive(Debug, Clone)]
-struct PartialDirty {
-    /// `true` = recompute, `false` = replay the stored view.
-    mask: Vec<bool>,
-    /// Warm-start stage skips for re-activated nodes (0 = cold search;
-    /// always 0 for movers).
-    warm: Vec<u32>,
+    /// Per-node verdicts: [`REPLAY`], or the warm-start stage skips of
+    /// a re-activated node (0 = cold search; always 0 for movers).
+    Partial(Vec<u32>),
 }
 
 /// How the shared adjacency snapshot relates to the current positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AdjacencyState {
-    /// Describes the current positions.
+    /// Describes the current positions — after a [`Session::finalize`]
+    /// possibly past pending `Session::last_movers` the stored views
+    /// predate, so no patch of this round knows the rows they changed.
     Fresh,
     /// Stale, but `Session::last_movers` is the exact movement set since
     /// it was fresh — patchable via [`Adjacency::apply_moves`].
@@ -1627,6 +1653,41 @@ mod tests {
             sim.displace_nodes(&[(NodeId(0), Point::new(0.2, 0.2))])
                 .unwrap(),
             0
+        );
+    }
+
+    #[test]
+    fn sequential_round_after_a_displacement_leaves_no_stale_adjacency() {
+        // A displacement leaves the snapshot awaiting its move-delta
+        // patch; a Gauss–Seidel round then clears the movement set, so
+        // the snapshot must fall back to a full rebuild. With ε this
+        // large nothing ever moves, so no round marks it stale for
+        // another reason.
+        let region = Region::square(1.0).unwrap();
+        let mut config = quick_config(1, 10);
+        config.execution = ExecutionMode::Sequential;
+        config.epsilon = 10.0;
+        let initial = sample_uniform(&region, 30, 8);
+        let mut sim = session(config, region, initial);
+        sim.step();
+        sim.finalize();
+        assert_eq!(sim.adjacency_state, AdjacencyState::Fresh);
+        let target = Point::new(0.97, 0.97);
+        assert_eq!(sim.displace_nodes(&[(NodeId(0), target)]).unwrap(), 1);
+        assert!(sim.step().moved.is_empty());
+        // The snapshot restores (its adjacency is checked against the
+        // positions), and finalizing matches a fresh session.
+        SessionBuilder::restore(&sim.snapshot()).unwrap();
+        sim.finalize();
+        let mut fresh = session(
+            sim.config().clone(),
+            sim.region().clone(),
+            sim.network().positions().to_vec(),
+        );
+        fresh.finalize();
+        assert_eq!(
+            sim.network().sensing_radii(),
+            fresh.network().sensing_radii()
         );
     }
 

@@ -58,6 +58,13 @@ pub const SNAPSHOT_MAGIC: &[u8] = b"laacad-snapshot/1\n";
 /// read back only to reject values no writer could have produced.
 const RETIRED_KNOBS: u8 = 0x7F;
 
+/// Each stored view once carried the farthest distance its ring search
+/// contacted, which an earlier dirty classifier bounded re-activation
+/// by. The hop-distance classifier needs no such radius; the slot stays
+/// so the layout does not change, is written as this constant, and any
+/// value is accepted and ignored on read.
+const RETIRED_CONTACT_RADIUS: f64 = 0.0;
+
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
@@ -449,12 +456,12 @@ fn write_view(w: &mut Writer, v: &NodeView) {
     w.messages(v.messages);
     w.opt_circle(v.chebyshev);
     w.f64(v.reach);
-    w.f64(v.contact_radius);
+    w.f64(RETIRED_CONTACT_RADIUS);
     w.bool(v.cache_hit);
 }
 
 fn read_view(r: &mut Reader) -> Result<NodeView, SnapshotError> {
-    Ok(NodeView {
+    let view = NodeView {
         rho: r.f64()?,
         rho_stages: r.usize()?,
         dominated: r.bool()?,
@@ -462,8 +469,12 @@ fn read_view(r: &mut Reader) -> Result<NodeView, SnapshotError> {
         messages: r.messages()?,
         chebyshev: r.opt_circle()?,
         reach: r.f64()?,
-        contact_radius: r.f64()?,
+        cache_hit: false,
+    };
+    let _retired_contact_radius = r.f64()?;
+    Ok(NodeView {
         cache_hit: r.bool()?,
+        ..view
     })
 }
 
@@ -655,7 +666,7 @@ impl SessionBuilder {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let adjacency_state = match r.u8()? {
+        let mut adjacency_state = match r.u8()? {
             0 => AdjacencyState::Fresh,
             1 => AdjacencyState::StaleMoves,
             2 => AdjacencyState::StaleFull,
@@ -678,19 +689,48 @@ impl SessionBuilder {
         } else if !neighbors.is_empty() {
             return Err(corrupt("adjacency neighbors without offsets"));
         }
-        // The states that reuse the CSR without a rebuild need one row
-        // per node: the next round indexes it by node id. A `StaleFull`
-        // CSR is rebuilt before use and may still describe the
-        // population before a `FailNodes`/`InsertNodes` event.
-        let rows = offsets.len().saturating_sub(1);
-        let reused = matches!(
-            adjacency_state,
-            AdjacencyState::Fresh | AdjacencyState::StaleMoves
-        );
-        if reused && rows != n {
-            return Err(corrupt(format!(
-                "adjacency CSR has {rows} rows for {n} nodes"
-            )));
+        // The states that reuse the CSR without a rebuild must hold the
+        // exact adjacency the engine would: the next round searches it,
+        // and the dirty classifier replays every view whose flood the
+        // patch leaves unchanged. `Fresh` describes the current
+        // positions; `StaleMoves` the positions before `last_movers`,
+        // recovered by undoing them in reverse. A `StaleFull` CSR is
+        // rebuilt before use and may still describe the population
+        // before a `FailNodes`/`InsertNodes` event.
+        let stored = (offsets.as_slice(), neighbors.as_slice());
+        let decoded = adjacency_state;
+        let mismatch = move || {
+            corrupt(format!(
+                "adjacency CSR does not match the {decoded:?} positions"
+            ))
+        };
+        match adjacency_state {
+            AdjacencyState::Fresh => {
+                if Adjacency::build(&net).csr() != stored {
+                    return Err(mismatch());
+                }
+            }
+            AdjacencyState::StaleMoves => {
+                let mut positions = net.positions().to_vec();
+                for m in last_movers.iter().rev() {
+                    positions[m.id.index()] = m.from;
+                }
+                let mut replay = Network::from_positions(net.gamma(), positions);
+                let mut described = Adjacency::build(&replay);
+                // Earlier versions also marked `StaleMoves` a CSR that
+                // `finalize` had refreshed past pending movers, so it may
+                // describe the positions after a prefix of `last_movers`.
+                // Such a session restores as `StaleFull`: patching would
+                // miss the rows that prefix changed.
+                let mut movers = last_movers.iter();
+                while described.csr() != stored {
+                    let m = movers.next().ok_or_else(mismatch)?;
+                    replay.move_node(m.id, m.to);
+                    described.apply_moves(&replay, [(m.id.index(), m.from, m.to)]);
+                    adjacency_state = AdjacencyState::StaleFull;
+                }
+            }
+            AdjacencyState::StaleFull => {}
         }
         let adjacency = Adjacency::from_csr(offsets, neighbors);
         let counters = SessionCounters {
@@ -925,6 +965,140 @@ mod tests {
                 SessionBuilder::restore(&corrupt).unwrap_err(),
                 SnapshotError::Corrupt(_)
             ));
+        }
+    }
+
+    #[test]
+    fn rejects_adjacency_csr_with_a_flipped_edge() {
+        // A well-formed CSR with one edge dropped. The dirty classifier
+        // seeds from the rows the next patch changes, so a restored CSR
+        // that is wrong in a single row would silently replay views the
+        // edge affects; restore must refuse it in both reused states.
+        let mut fresh = session(40, 1, 5);
+        for _ in 0..3 {
+            fresh.step();
+        }
+        fresh.finalize();
+        assert_eq!(fresh.adjacency_state, AdjacencyState::Fresh);
+        let mut stale = session(40, 1, 5);
+        for _ in 0..3 {
+            stale.step();
+        }
+        let p = stale.network().position(NodeId(9));
+        let target = Point::new(p.x * 0.9 + 0.05, p.y * 0.9 + 0.05);
+        stale.displace_nodes(&[(NodeId(9), target)]).unwrap();
+        assert_eq!(stale.adjacency_state, AdjacencyState::StaleMoves);
+        assert!(
+            stale.last_movers.len() > 1,
+            "round movers plus the displacement"
+        );
+        for mut original in [fresh, stale] {
+            let state = original.adjacency_state;
+            let bytes = original.snapshot();
+            let mut s = SessionBuilder::restore(&bytes).unwrap();
+            assert_eq!(s.adjacency_state, state);
+            let (offsets, neighbors) = s.adjacency.csr();
+            let row = (0..s.adjacency.len())
+                .find(|&i| !s.adjacency.neighbors(i).is_empty())
+                .unwrap();
+            let mut neighbors = neighbors.to_vec();
+            neighbors.remove(offsets[row] as usize);
+            let offsets: Vec<u32> = offsets
+                .iter()
+                .enumerate()
+                .map(|(i, &o)| if i > row { o - 1 } else { o })
+                .collect();
+            s.adjacency = Adjacency::from_csr(offsets, neighbors);
+            assert!(
+                matches!(
+                    SessionBuilder::restore(&s.snapshot()).unwrap_err(),
+                    SnapshotError::Corrupt(_)
+                ),
+                "{state:?} with row {row} missing an edge"
+            );
+            // The intact snapshot restores and steps like the original.
+            let mut restored = SessionBuilder::restore(&bytes).unwrap();
+            assert_eq!(restored.step(), original.step(), "{state:?}");
+        }
+    }
+
+    #[test]
+    fn stale_moves_csr_past_a_prefix_of_the_movers_restores_as_stale_full() {
+        // Earlier versions marked `StaleMoves` a CSR that `finalize` had
+        // refreshed past pending movers, on the next displacement. Such a
+        // snapshot holds the adjacency after a prefix of `last_movers`: it
+        // restores as `StaleFull` and steps like this version's session.
+        let mut sim = session(40, 1, 5);
+        for _ in 0..3 {
+            sim.step();
+        }
+        assert!(!sim.last_movers.is_empty(), "movers pending");
+        sim.finalize();
+        let p = sim.network().position(NodeId(9));
+        let target = Point::new(p.x * 0.9 + 0.05, p.y * 0.9 + 0.05);
+        sim.displace_nodes(&[(NodeId(9), target)]).unwrap();
+        assert_eq!(sim.adjacency_state, AdjacencyState::StaleFull);
+        sim.adjacency_state = AdjacencyState::StaleMoves;
+        let earlier = sim.snapshot();
+        sim.adjacency_state = AdjacencyState::StaleFull;
+        let mut restored = SessionBuilder::restore(&earlier).unwrap();
+        assert_eq!(restored.adjacency_state, AdjacencyState::StaleFull);
+        assert_eq!(restored.step(), sim.step());
+        assert_eq!(restored.network().positions(), sim.network().positions());
+    }
+
+    /// Snapshots written while each stored view still carried its search's
+    /// contact radius: a converged 80-node k = 1 session (γ = 0.18,
+    /// seed 21) right after one node was displaced, and the same session
+    /// 12 rounds later, both written by that engine.
+    const CONTACT_RADIUS_BEFORE: &[u8] = include_bytes!("../tests/data/contact_radius_before.bin");
+    const CONTACT_RADIUS_AFTER: &[u8] = include_bytes!("../tests/data/contact_radius_after.bin");
+
+    #[test]
+    fn snapshots_with_contact_radii_restore_and_step_identically() {
+        let mut s = SessionBuilder::restore(CONTACT_RADIUS_BEFORE).unwrap();
+        // The retired slots held non-zero radii; they re-encode as 0.0 in
+        // the same layout.
+        let reencoded = s.snapshot();
+        assert_eq!(reencoded.len(), CONTACT_RADIUS_BEFORE.len());
+        assert_ne!(reencoded, CONTACT_RADIUS_BEFORE);
+        let first = s.step();
+        assert!(
+            first.skipped_quiescent > 0 && first.ring_searches > 0,
+            "the displacement round is partially active"
+        );
+        for _ in 1..12 {
+            s.step();
+        }
+        let writer = SessionBuilder::restore(CONTACT_RADIUS_AFTER).unwrap();
+        let bits = |s: &Session| {
+            let net = s.network();
+            let pos: Vec<(u64, u64)> = net
+                .positions()
+                .iter()
+                .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                .collect();
+            let radii: Vec<u64> = net.sensing_radii().iter().map(|r| r.to_bits()).collect();
+            (pos, radii)
+        };
+        assert_eq!(bits(&s), bits(&writer));
+        assert_eq!(s.round, writer.round);
+        assert_eq!(s.converged, writer.converged);
+        assert_eq!(s.history.rounds(), writer.history.rounds());
+        assert_eq!(s.counters.cache_misses, writer.counters.cache_misses);
+        assert_eq!(s.adjacency.csr(), writer.adjacency.csr());
+        assert_eq!(s.last_movers, writer.last_movers);
+        // Stored views agree in everything but the cache-hit flag, which
+        // records how a view was last produced: a view replayed here was
+        // re-searched (and hit) by the writer.
+        assert_eq!(s.views.len(), writer.views.len());
+        for (a, b) in s.views.iter().zip(&writer.views) {
+            assert_eq!(a.rho.to_bits(), b.rho.to_bits());
+            assert_eq!(a.rho_stages, b.rho_stages);
+            assert_eq!((a.dominated, a.saturated), (b.dominated, b.saturated));
+            assert_eq!(a.messages, b.messages);
+            assert_eq!(a.chebyshev, b.chebyshev);
+            assert_eq!(a.reach.to_bits(), b.reach.to_bits());
         }
     }
 

@@ -15,7 +15,9 @@
 //! Partially-active rounds need not rebuild: [`Adjacency::apply_moves`]
 //! patches the snapshot from the round's movement delta, re-querying
 //! only the rows a mover could have touched and copying every other row
-//! verbatim — bit-identical to a full [`Adjacency::rebuild`].
+//! verbatim — bit-identical to a full [`Adjacency::rebuild`]. It also
+//! reports which rows actually changed, the seed set of the round
+//! engine's hop-distance dirty classifier.
 
 use crate::network::Network;
 use crate::node::NodeId;
@@ -34,6 +36,9 @@ pub struct Adjacency {
     /// Epoch-stamped affected-row marks (no `O(N)` clear per update).
     stamp: Vec<u64>,
     epoch: u64,
+    /// Rows whose neighbor list the last [`Adjacency::apply_moves`]
+    /// changed, ascending.
+    changed: Vec<u32>,
 }
 
 impl Adjacency {
@@ -47,6 +52,7 @@ impl Adjacency {
     /// Rebuilds in place, reusing the row storage (the round engine
     /// refreshes one instance every round).
     pub fn rebuild(&mut self, net: &Network) {
+        self.changed.clear();
         self.offsets.clear();
         self.neighbors.clear();
         self.offsets.push(0);
@@ -69,7 +75,10 @@ impl Adjacency {
     /// are re-queried; every other row is copied verbatim from the
     /// previous snapshot. The result is bit-identical to a full
     /// [`Adjacency::rebuild`] at the same positions. Returns the number
-    /// of rows re-queried.
+    /// of rows re-queried. The rows whose neighbor list actually changed
+    /// are recorded for [`Adjacency::changed_rows`] — a mover whose links
+    /// all survived its move leaves its own row (and every other)
+    /// unchanged.
     ///
     /// # Panics
     ///
@@ -110,12 +119,17 @@ impl Adjacency {
         offsets.clear();
         neighbors.clear();
         offsets.push(0);
+        self.changed.clear();
         let mut requeried = 0;
         for i in 0..n {
             if self.stamp[i] == self.epoch {
                 requeried += 1;
                 net.one_hop_neighbors_into(NodeId(i), &mut row);
+                let start = neighbors.len();
                 neighbors.extend(row.iter().map(|&j| j as u32));
+                if neighbors[start..] != *self.neighbors(i) {
+                    self.changed.push(i as u32);
+                }
             } else {
                 neighbors.extend_from_slice(
                     &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize],
@@ -127,6 +141,12 @@ impl Adjacency {
         self.spare_neighbors = std::mem::replace(&mut self.neighbors, neighbors);
         self.row = row;
         requeried
+    }
+
+    /// The rows the last [`Adjacency::apply_moves`] changed, ascending
+    /// (empty after a [`Adjacency::rebuild`]).
+    pub fn changed_rows(&self) -> &[u32] {
+        &self.changed
     }
 
     /// Number of nodes the snapshot covers.
@@ -245,20 +265,32 @@ mod tests {
             net.move_node(NodeId(i), target);
             deltas.push((i, from, target));
         }
+        let before = adj.clone();
         let requeried = adj.apply_moves(&net, deltas.iter().copied());
         assert!(requeried >= moves.len(), "movers themselves re-query");
         assert!(
             requeried < net.len(),
             "far rows must be copied, not re-queried"
         );
+        let changed = adj.changed_rows().to_vec();
         let fresh = Adjacency::build(&net);
         for i in 0..net.len() {
             assert_eq!(adj.neighbors(i), fresh.neighbors(i), "row {i}");
         }
+        // Exactly the rows that differ from the previous snapshot are
+        // reported — far rows stay unchanged, the movers' rows do not.
+        let differ: Vec<u32> = (0..net.len())
+            .filter(|&i| before.neighbors(i) != adj.neighbors(i))
+            .map(|i| i as u32)
+            .collect();
+        assert_eq!(changed, differ);
+        assert!(changed.contains(&24) && changed.contains(&40));
+        assert!(changed.len() < net.len(), "far rows must not change");
         // A second batch over the patched snapshot stays exact.
         let from = net.position(NodeId(24));
         net.move_node(NodeId(24), Point::new(0.45, 0.47));
         adj.apply_moves(&net, [(24, from, Point::new(0.45, 0.47))]);
+        assert!(adj.changed_rows().contains(&24));
         let fresh = Adjacency::build(&net);
         for i in 0..net.len() {
             assert_eq!(
@@ -267,5 +299,14 @@ mod tests {
                 "row {i} after second batch"
             );
         }
+        // A nudge that keeps every link reports no changed row, not even
+        // the mover's own.
+        let from = net.position(NodeId(24));
+        let nudged = Point::new(from.x + 1e-9, from.y);
+        net.move_node(NodeId(24), nudged);
+        adj.apply_moves(&net, [(24, from, nudged)]);
+        assert!(adj.changed_rows().is_empty());
+        adj.rebuild(&net);
+        assert!(adj.changed_rows().is_empty());
     }
 }

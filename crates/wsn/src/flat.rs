@@ -11,11 +11,9 @@
 //! movers' source and destination cells. A radius query walks contiguous
 //! row runs of the cell array — no hashing, no per-bucket allocation.
 //!
-//! Both index layouts implement the identical query contracts
-//! ([`FlatGrid::within_into`] sorts its output; the
-//! [`FlatGrid::min_distance_within`] early-exit contract matches
-//! [`crate::spatial::SpatialGrid::min_distance_within`] exactly), so
-//! swapping one for the other is invisible to callers — results are
+//! Both index layouts implement the identical query contract
+//! ([`FlatGrid::within_into`] sorts its output like
+//! [`crate::spatial::SpatialGrid::within_into`]), so swapping one for the other is invisible to callers — results are
 //! bit-identical, which is what lets [`GridIndex`] pick the layout per
 //! deployment without perturbing any round.
 //!
@@ -204,44 +202,6 @@ impl FlatGrid {
         out
     }
 
-    /// Distance from `q` to the nearest indexed point within `radius`
-    /// (`f64::INFINITY` when none), with the same early-exit contract as
-    /// [`SpatialGrid::min_distance_within`]: a return value
-    /// `> stop_below` is the exact minimum; a value `≤ stop_below`
-    /// witnesses some point at that distance.
-    pub fn min_distance_within(
-        &self,
-        points: &[Point],
-        q: Point,
-        radius: f64,
-        stop_below: f64,
-    ) -> f64 {
-        let r = radius.max(0.0);
-        let r_sq = r * r + 1e-12;
-        let mut best_sq = f64::INFINITY;
-        let stop_sq = stop_below * stop_below;
-        let (lo, hi) = self.clamped_range(q, r);
-        let Some(((cx0, cx1), (cy0, cy1))) = range_cells(lo, hi) else {
-            return best_sq.sqrt();
-        };
-        for cy in cy0..=cy1 {
-            let row = cy * self.cols;
-            for c in (row + cx0)..=(row + cx1) {
-                let start = self.starts[c] as usize;
-                for &e in &self.entries[start..start + self.lens[c] as usize] {
-                    let d_sq = points[e as usize].distance_sq(q);
-                    if d_sq <= r_sq && d_sq < best_sq {
-                        best_sq = d_sq;
-                        if best_sq <= stop_sq {
-                            return best_sq.sqrt();
-                        }
-                    }
-                }
-            }
-        }
-        best_sq.sqrt()
-    }
-
     /// The query's key range intersected with the grid extent, as
     /// zero-based cell coordinates (`x0 > x1` encodes an empty range).
     #[inline]
@@ -391,20 +351,6 @@ impl GridIndex {
         }
     }
 
-    /// See [`SpatialGrid::min_distance_within`].
-    pub fn min_distance_within(
-        &self,
-        points: &[Point],
-        q: Point,
-        radius: f64,
-        stop_below: f64,
-    ) -> f64 {
-        match self {
-            GridIndex::Hash(g) => g.min_distance_within(points, q, radius, stop_below),
-            GridIndex::Flat(g) => g.min_distance_within(points, q, radius, stop_below),
-        }
-    }
-
     /// Adds point `i` at `p`; `false` means the index must be rebuilt.
     #[must_use]
     pub fn insert(&mut self, i: usize, p: Point) -> bool {
@@ -544,25 +490,6 @@ mod tests {
             }
         }
         assert_eq!(accepted, CELL_SLACK);
-    }
-
-    #[test]
-    fn min_distance_matches_hash_grid() {
-        let pts = cloud();
-        let flat = FlatGrid::try_build(&pts, 0.25).expect("dense cloud");
-        let hash = SpatialGrid::build(&pts, 0.25);
-        for &(qx, qy, r) in &[(0.52, 0.47, 0.2), (1.4, 1.4, 0.3), (1.45, 0.5, 0.6)] {
-            let q = Point::new(qx, qy);
-            let got = flat.min_distance_within(&pts, q, r, 0.0);
-            let expect = hash.min_distance_within(&pts, q, r, 0.0);
-            if expect.is_infinite() {
-                assert!(got.is_infinite(), "({qx},{qy}) r={r}: got {got}");
-            } else {
-                assert!((got - expect).abs() < 1e-15, "({qx},{qy}) r={r}");
-            }
-        }
-        let witnessed = flat.min_distance_within(&pts, Point::new(0.5, 0.5), 0.5, 0.2);
-        assert!(witnessed <= 0.2);
     }
 
     #[test]

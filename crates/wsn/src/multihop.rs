@@ -370,28 +370,6 @@ impl<'net, 'scr> RingQuery<'net, 'scr> {
     pub fn farthest_member_distance(&self) -> f64 {
         self.farthest
     }
-
-    /// Euclidean distance from the center to the farthest node the BFS
-    /// *ever explored* — members, relays, and every node charged in the
-    /// broadcast accounting (0 when nothing beyond the center was
-    /// reached).
-    ///
-    /// This is the query's exact contact radius: a node outside this
-    /// distance was never heard from and never influenced the member
-    /// set, the hop distances, or the message totals. The conservative
-    /// hop-path bound is `hops·γ`; the recorded radius is what the flood
-    /// actually covered, which is what lets change-tracking callers
-    /// re-activate only the genuinely reachable neighborhood.
-    pub fn contact_radius(&self) -> f64 {
-        // Every explored node is either a member (folded into `farthest`
-        // as it was promoted) or still pending. The square root commutes
-        // with the max (both monotone), so one suffices.
-        let mut far_sq: f64 = 0.0;
-        for &v in &self.scratch.pending {
-            far_sq = far_sq.max(self.net.position(NodeId(v)).distance_sq(self.origin));
-        }
-        self.farthest.max(far_sq.sqrt())
-    }
 }
 
 /// Whether node `other` is inside the ring of `center` — convenience for
@@ -539,53 +517,6 @@ mod tests {
                 assert_eq!(a.messages, b.messages, "center {center} ρ {rho}");
                 assert_eq!(grid.members(), csr.members(), "center {center} ρ {rho}");
             }
-        }
-    }
-
-    #[test]
-    fn contact_radius_covers_every_explored_node() {
-        // The recorded contact radius must equal the farthest node the
-        // BFS stamped (members and pending relays alike) and bound every
-        // member distance.
-        let gamma = 0.15;
-        let net = Network::from_positions(
-            gamma,
-            (0..9).flat_map(|i| (0..9).map(move |j| Point::new(i as f64 * 0.1, j as f64 * 0.1))),
-        );
-        for center in [0usize, 40] {
-            let mut scratch = RingScratch::new();
-            let mut query = RingQuery::begin(&net, NodeId(center), &mut scratch);
-            let origin = net.position(NodeId(center));
-            let rho = 2.0 * gamma;
-            let hops = hop_budget(rho, gamma, DEFAULT_HOP_SLACK);
-            query.collect(rho, hops);
-            let contact = query.contact_radius();
-            // Brute-force BFS to the same hop budget: the stamped set.
-            let mut expect: f64 = 0.0;
-            let mut dist = vec![usize::MAX; net.len()];
-            dist[center] = 0;
-            let mut queue = std::collections::VecDeque::from([center]);
-            while let Some(u) = queue.pop_front() {
-                if dist[u] >= hops {
-                    continue;
-                }
-                for v in net.one_hop_neighbors(NodeId(u)) {
-                    if dist[v.index()] == usize::MAX {
-                        dist[v.index()] = dist[u] + 1;
-                        queue.push_back(v.index());
-                    }
-                }
-            }
-            for (i, &d) in dist.iter().enumerate() {
-                if i != center && d != usize::MAX && d <= hops {
-                    expect = expect.max(net.position(NodeId(i)).distance(origin));
-                }
-            }
-            assert!(
-                (contact - expect).abs() < 1e-12,
-                "center {center}: contact {contact} vs stamped max {expect}"
-            );
-            assert!(contact >= query.farthest_member_distance());
         }
     }
 

@@ -77,48 +77,6 @@ impl SpatialGrid {
             .push(i);
     }
 
-    /// Distance from `q` to the nearest indexed point within `radius`
-    /// (`f64::INFINITY` when none), with an early-exit threshold: as
-    /// soon as a point at distance `≤ stop_below` is seen, its distance
-    /// is returned without refining further.
-    ///
-    /// The contract callers may rely on: a return value `> stop_below`
-    /// is the *exact* minimum over every point within `radius`; a value
-    /// `≤ stop_below` witnesses some point at that distance (not
-    /// necessarily the closest). Unlike [`SpatialGrid::within_into`],
-    /// nothing is materialized or sorted — this is the form a
-    /// tight classification loop probes per node.
-    pub fn min_distance_within(
-        &self,
-        points: &[Point],
-        q: Point,
-        radius: f64,
-        stop_below: f64,
-    ) -> f64 {
-        let r = radius.max(0.0);
-        let lo = Self::key(q - laacad_geom::Vector::new(r, r), self.cell);
-        let hi = Self::key(q + laacad_geom::Vector::new(r, r), self.cell);
-        let r_sq = r * r + 1e-12;
-        let mut best_sq = f64::INFINITY;
-        let stop_sq = stop_below * stop_below;
-        for gx in lo.0..=hi.0 {
-            for gy in lo.1..=hi.1 {
-                if let Some(bucket) = self.buckets.get(&(gx, gy)) {
-                    for &i in bucket {
-                        let d_sq = points[i].distance_sq(q);
-                        if d_sq <= r_sq && d_sq < best_sq {
-                            best_sq = d_sq;
-                            if best_sq <= stop_sq {
-                                return best_sq.sqrt();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        best_sq.sqrt()
-    }
-
     /// Applies a batch of moves `(index, old, new)` to the index — the
     /// move-delta update path of partially-active rounds: only the
     /// movers' grid cells are touched, everything else stays in place.
@@ -258,29 +216,6 @@ mod tests {
                 "query ({qx},{qy}) r={r}"
             );
         }
-    }
-
-    #[test]
-    fn min_distance_within_matches_brute_force() {
-        let pts = cloud();
-        let grid = SpatialGrid::build(&pts, 0.25);
-        for &(qx, qy, r) in &[(0.52, 0.47, 0.2), (1.4, 1.4, 0.3), (1.45, 0.5, 0.6)] {
-            let q = Point::new(qx, qy);
-            let got = grid.min_distance_within(&pts, q, r, 0.0);
-            let expect = pts
-                .iter()
-                .filter(|p| p.distance(q) <= r + 1e-9)
-                .map(|p| p.distance(q))
-                .fold(f64::INFINITY, f64::min);
-            if expect.is_infinite() {
-                assert!(got.is_infinite(), "({qx},{qy}) r={r}: got {got}");
-            } else {
-                assert!((got - expect).abs() < 1e-12, "({qx},{qy}) r={r}");
-            }
-        }
-        // Early exit returns a witness within the threshold.
-        let witnessed = grid.min_distance_within(&pts, Point::new(0.5, 0.5), 0.5, 0.2);
-        assert!(witnessed <= 0.2);
     }
 
     #[test]
