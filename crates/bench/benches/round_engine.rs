@@ -165,9 +165,9 @@ const TELEMETRY_OVERHEAD_SLACK_SECONDS: f64 = 0.01;
 
 /// Smoke-mode layout guard size: one steady quiescent round at this N
 /// must finish under [`SMOKE_LARGE_N_STEADY_SECONDS`] with O(1)
-/// allocations — a memory-layout regression (hash-grid fallback on a
-/// dense cloud, arena losing its high-water buffers) shows up here as a
-/// multiplicative slowdown or an O(N) allocation count.
+/// allocations — a memory-layout regression (a grid that coarsens its
+/// cell on a dense cloud, arena losing its high-water buffers) shows up
+/// here as a multiplicative slowdown or an O(N) allocation count.
 const SMOKE_LARGE_N: usize = 100_000;
 
 /// Generous wall-clock bound for the smoke layout guard: a quiescent

@@ -150,12 +150,27 @@ impl LaacadConfig {
         if self.epsilon.is_nan() || self.epsilon <= 0.0 {
             return Err(LaacadError::InvalidEpsilon(self.epsilon));
         }
-        if self.gamma.is_nan() || self.gamma <= 0.0 {
+        if !(self.gamma.is_finite() && self.gamma > 0.0) {
             return Err(LaacadError::InvalidGamma(self.gamma));
+        }
+        if !(MIN_CAP_VERTICES..=MAX_CAP_VERTICES).contains(&self.cap_vertices) {
+            return Err(LaacadError::InvalidCapVertices(self.cap_vertices));
+        }
+        if let Some(rho) = self.max_rho.filter(|&r| !(r.is_finite() && r > 0.0)) {
+            return Err(LaacadError::InvalidMaxRho(rho));
         }
         Ok(())
     }
 }
+
+/// Fewest vertices of the disk-cap polygon; the builder raises smaller
+/// requests to it.
+pub const MIN_CAP_VERTICES: usize = 8;
+
+/// Most vertices of the disk-cap polygon [`LaacadConfig::validate`]
+/// accepts — far past any useful resolution, and small enough that a
+/// cap never turns into an unbounded allocation.
+pub const MAX_CAP_VERTICES: usize = 1 << 16;
 
 /// Builder for [`LaacadConfig`] (non-consuming, per the Rust API
 /// guidelines' builder pattern).
@@ -203,7 +218,7 @@ impl LaacadConfigBuilder {
 
     /// Sets the disk-cap polygon resolution.
     pub fn cap_vertices(&mut self, n: usize) -> &mut Self {
-        self.config.cap_vertices = n.max(8);
+        self.config.cap_vertices = n.max(MIN_CAP_VERTICES);
         self
     }
 

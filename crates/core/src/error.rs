@@ -14,8 +14,14 @@ pub enum LaacadError {
     InvalidAlpha(f64),
     /// Stopping tolerance `ε` must be strictly positive.
     InvalidEpsilon(f64),
-    /// Transmission range `γ` must be strictly positive.
+    /// Transmission range `γ` must be finite and strictly positive.
     InvalidGamma(f64),
+    /// The disk-cap polygon needs between
+    /// [`crate::config::MIN_CAP_VERTICES`] and
+    /// [`crate::config::MAX_CAP_VERTICES`] vertices.
+    InvalidCapVertices(usize),
+    /// A maximum ring radius must be finite and strictly positive.
+    InvalidMaxRho(f64),
     /// The initial deployment is empty.
     EmptyDeployment,
     /// An initial position lies outside the target area.
@@ -51,7 +57,13 @@ impl std::fmt::Display for LaacadError {
                 write!(f, "stopping tolerance ε={e} must be positive")
             }
             LaacadError::InvalidGamma(g) => {
-                write!(f, "transmission range γ={g} must be positive")
+                write!(f, "transmission range γ={g} must be finite and positive")
+            }
+            LaacadError::InvalidCapVertices(n) => {
+                write!(f, "a disk-cap polygon of {n} vertices is out of range")
+            }
+            LaacadError::InvalidMaxRho(r) => {
+                write!(f, "maximum ring radius ρ={r} must be finite and positive")
             }
             LaacadError::EmptyDeployment => write!(f, "initial deployment has no nodes"),
             LaacadError::NodeOutsideRegion { index } => {
@@ -83,6 +95,8 @@ mod tests {
             LaacadError::InvalidAlpha(1.5).to_string(),
             LaacadError::InvalidEpsilon(-1.0).to_string(),
             LaacadError::InvalidGamma(0.0).to_string(),
+            LaacadError::InvalidCapVertices(0).to_string(),
+            LaacadError::InvalidMaxRho(f64::NAN).to_string(),
             LaacadError::EmptyDeployment.to_string(),
             LaacadError::NodeOutsideRegion { index: 7 }.to_string(),
         ];
@@ -93,6 +107,7 @@ mod tests {
                     || m.contains('α')
                     || m.contains('ε')
                     || m.contains('γ')
+                    || m.contains('ρ')
                     || m.contains('≤')
             );
         }

@@ -69,7 +69,7 @@ pub use ring::{
     expanding_ring_search, expanding_ring_search_scratched, expanding_ring_search_status,
     expanding_ring_search_status_warm, DominationScratch, RingOutcome, RingStatus,
 };
-pub use scratch::{LocalViewCache, RoundScratch};
+pub use scratch::{CacheEntry, RoundScratch};
 pub use session::{MovedNode, ObservedRound, RoundDelta, Session, SessionBuilder, SessionCounters};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC};
 

@@ -8,12 +8,12 @@
 //!
 //! * [`compute_node_view`] — the round engine's hot path: carves the
 //!   region through pooled buffers, computes the Chebyshev disk and the
-//!   farthest distance in one vertex pass, and consults the per-worker
-//!   [`crate::scratch::LocalViewCache`] so that nodes whose exact
-//!   geometric inputs are unchanged since their previous computation
-//!   take the ring search's final domination verdict from the cache key
-//!   and skip the subdivision entirely. Zero heap allocations in steady
-//!   state (oracle mode).
+//!   farthest distance in one vertex pass, and consults the node's
+//!   [`CacheEntry`] (one per node, owned by the engine) so that nodes
+//!   whose exact geometric inputs are unchanged since their previous
+//!   computation take the ring search's final domination verdict from
+//!   the cache key and skip the subdivision entirely. Zero heap
+//!   allocations in steady state (oracle mode).
 //! * [`compute_local_view`] / [`compute_local_view_scratched`] — the
 //!   convenience API returning a full [`LocalView`] with an owned
 //!   [`DominatingRegion`]; same geometry, materialized at the boundary.
@@ -22,7 +22,7 @@ use crate::config::{CoordinateMode, LaacadConfig, RingCapPolicy};
 use crate::ring::{
     expanding_ring_search_scratched, expanding_ring_search_status_warm, RingOutcome, RingStatus,
 };
-use crate::scratch::RoundScratch;
+use crate::scratch::{CacheEntry, RoundScratch};
 use laacad_geom::{Circle, Point, PolygonBuf};
 use laacad_region::Region;
 use laacad_voronoi::dominating::{
@@ -160,13 +160,16 @@ pub fn compute_local_view_scratched(
 /// but without materializing the region, and with the Chebyshev disk and
 /// farthest distance computed in one vertex pass.
 ///
-/// In oracle mode the node's entry in this worker's
-/// [`crate::scratch::LocalViewCache`] is handed to the ring search. A
-/// stage whose exact inputs (ρ, member ids and positions, own
-/// position, `k`) equal the entry's key takes the stored domination
-/// verdict instead of running the arc-depth sweep, and a key match at
-/// the end of the search skips the whole geometry stage. Both reuses
-/// are exact, so the view is bit-identical to an uncached computation.
+/// `entry` is node `id`'s view-cache entry from its previous
+/// computation (a default entry when there was none). In oracle mode it
+/// is handed to the ring search: a stage whose exact inputs (ρ, member
+/// ids and positions, own position, `k`) equal the entry's key takes
+/// the stored domination verdict instead of running the arc-depth
+/// sweep, and a key match at the end of the search skips the whole
+/// geometry stage; a miss refills the entry. Both reuses are exact, so
+/// the view is bit-identical to an uncached computation. Ranging mode
+/// leaves the entry untouched.
+#[allow(clippy::too_many_arguments)]
 pub fn compute_node_view(
     net: &Network,
     adjacency: Option<&Adjacency>,
@@ -175,8 +178,9 @@ pub fn compute_node_view(
     config: &LaacadConfig,
     round: usize,
     scratch: &mut RoundScratch,
+    entry: &mut CacheEntry,
 ) -> NodeView {
-    compute_node_view_warm(net, adjacency, id, area, config, round, 0, scratch)
+    compute_node_view_warm(net, adjacency, id, area, config, round, 0, scratch, entry)
 }
 
 /// [`compute_node_view`] with a ρ-warm-started ring search: the first
@@ -194,6 +198,7 @@ pub fn compute_node_view_warm(
     round: usize,
     warm_skip: usize,
     scratch: &mut RoundScratch,
+    entry: &mut CacheEntry,
 ) -> NodeView {
     let max_rho = config.max_rho.unwrap_or(2.0 * area.diameter_bound());
     // Kernel timing is armed per fan-out by the session; off, each
@@ -204,7 +209,7 @@ pub fn compute_node_view_warm(
     // The cache key doubles as a recorded domination check, valid
     // wherever the cache itself is (oracle coordinates).
     let key = match config.coordinates {
-        CoordinateMode::Oracle => scratch.cache.entry(id.index()),
+        CoordinateMode::Oracle => Some(&*entry),
         CoordinateMode::Ranging(_) => None,
     };
     let status = expanding_ring_search_status_warm(
@@ -228,7 +233,9 @@ pub fn compute_node_view_warm(
     }
     let true_self = net.position(id);
     let started = timing.then(std::time::Instant::now);
-    let view = geometry_stage(net, id, area, config, round, status, true_self, scratch);
+    let view = geometry_stage(
+        net, id, area, config, round, status, true_self, scratch, entry,
+    );
     if let Some(started) = started {
         scratch
             .telemetry
@@ -251,9 +258,10 @@ fn geometry_stage(
     status: RingStatus,
     true_self: Point,
     scratch: &mut RoundScratch,
+    entry: &mut CacheEntry,
 ) -> NodeView {
     if let CoordinateMode::Oracle = config.coordinates {
-        return cached_node_view(id, area, config, status, true_self, scratch);
+        return cached_node_view(area, config, status, true_self, scratch, entry);
     }
     // Ranging mode is never cached: the member positions are re-derived
     // from the member ids (allocating — noise is re-drawn per round by
@@ -294,17 +302,16 @@ fn geometry_stage(
 
 /// The oracle-mode cached path of [`compute_node_view`].
 fn cached_node_view(
-    id: NodeId,
     area: &Region,
     config: &LaacadConfig,
     status: RingStatus,
     true_self: Point,
     scratch: &mut RoundScratch,
+    entry: &mut CacheEntry,
 ) -> NodeView {
     debug_assert_eq!(config.coordinates, CoordinateMode::Oracle);
     let s = &mut *scratch;
     let members = s.ring.last_members();
-    let entry = s.cache.slot(id.index());
     if entry.matches(
         config.k,
         true_self,
@@ -693,15 +700,18 @@ mod tests {
         let mut scratch = RoundScratch::new();
         for i in [0usize, 4, 40, 44, 80] {
             let id = NodeId(i);
+            let mut entry = CacheEntry::default();
             let view = compute_local_view(&net, id, &area, &config, 0);
-            let lean = compute_node_view(&net, None, id, &area, &config, 0, &mut scratch);
+            let lean =
+                compute_node_view(&net, None, id, &area, &config, 0, &mut scratch, &mut entry);
             assert!(!lean.cache_hit, "first computation of node {i}");
             assert_eq!(view.chebyshev, lean.chebyshev, "node {i}");
             let reach = view.region.farthest_distance(net.position(id));
             assert_eq!(reach.to_bits(), lean.reach.to_bits(), "node {i}");
             assert_eq!(view.ring.messages, lean.messages, "node {i}");
             // Second pass: identical inputs → cache hit, identical output.
-            let hit = compute_node_view(&net, None, id, &area, &config, 1, &mut scratch);
+            let hit =
+                compute_node_view(&net, None, id, &area, &config, 1, &mut scratch, &mut entry);
             assert!(hit.cache_hit, "node {i}");
             assert_eq!(lean.chebyshev, hit.chebyshev, "node {i}");
             assert_eq!(lean.reach.to_bits(), hit.reach.to_bits(), "node {i}");

@@ -7,16 +7,19 @@
 //! buffers, the Welzl scratch — live here, so a worker allocates once
 //! and then computes views allocation-free for the rest of the run. The
 //! synchronous engine keeps one [`RoundScratch`] per worker thread; the
-//! sequential engine keeps a single one.
+//! sequential engine keeps a single one. A scratch holds nothing that
+//! outlives one computation.
 //!
-//! The scratch also owns the worker's [`LocalViewCache`]: per-node
-//! entries keyed by the *exact* geometric inputs of the node's previous
-//! computation (position, ring radius, competitor `(id, position)` set,
-//! `k`). A key match answers the ring search's final domination check
-//! from the stored verdict (skipping its arc-depth sweep) and then
-//! skips the subdivision and Welzl entirely; because the key is exact
-//! equality, a hit returns exactly what a from-scratch computation
-//! would.
+//! What does outlive a round is the view cache: one [`CacheEntry`] per
+//! node, in a table the engine owns and indexes by node id, keyed by
+//! the *exact* geometric inputs of the node's previous computation
+//! (position, ring radius, competitor `(id, position)` set, `k`). A key
+//! match answers the ring search's final domination check from the
+//! stored verdict (skipping its arc-depth sweep) and then skips the
+//! subdivision and Welzl entirely; because the key is exact equality, a
+//! hit returns exactly what a from-scratch computation would. Each
+//! computation is handed its node's entry, so the table's contents do
+//! not depend on which worker computed which node.
 
 use crate::ring::DominationScratch;
 use laacad_geom::{Circle, Point, PolygonBuf};
@@ -47,8 +50,6 @@ pub struct RoundScratch {
     pub(crate) domain: PolygonBuf,
     /// Ping-pong partner of `domain`.
     pub(crate) domain_tmp: PolygonBuf,
-    /// Cross-round per-node view cache (see [`LocalViewCache`]).
-    pub(crate) cache: LocalViewCache,
     /// Per-worker kernel timing buffer. Armed by the session only when
     /// an enabled recorder is installed (its `enabled` flag is the
     /// single branch the kernels pay with telemetry off); drained in
@@ -71,49 +72,6 @@ impl RoundScratch {
     }
 }
 
-/// Cross-round cache of per-node local views.
-///
-/// Entries are indexed by node id and keyed by the exact inputs of the
-/// dominating-region computation. The ring search reads a node's entry
-/// first: at the stage whose inputs equal the key it takes the stored
-/// domination verdict instead of re-running the check, and a key match
-/// at the end of the search then serves the stored disk and reach. With
-/// multiple workers each worker owns
-/// its own cache and nodes migrate between workers, so hits degrade
-/// gracefully (a miss just recomputes — results never change); with the
-/// serial default every node hits its previous round's entry as soon as
-/// its neighborhood stops moving.
-#[derive(Debug, Clone, Default)]
-pub struct LocalViewCache {
-    entries: Vec<CacheEntry>,
-}
-
-impl LocalViewCache {
-    /// The entry slot for node `i`, growing the table on demand.
-    pub(crate) fn slot(&mut self, i: usize) -> &mut CacheEntry {
-        if self.entries.len() <= i {
-            self.entries.resize_with(i + 1, CacheEntry::default);
-        }
-        &mut self.entries[i]
-    }
-
-    /// Node `i`'s entry, if the table has grown that far — the ring
-    /// search's read-only view of the key.
-    pub(crate) fn entry(&self, i: usize) -> Option<&CacheEntry> {
-        self.entries.get(i)
-    }
-
-    /// All entries, indexed by node id — snapshot serialization.
-    pub(crate) fn entries(&self) -> &[CacheEntry] {
-        &self.entries
-    }
-
-    /// Reconstructs a cache from serialized entries.
-    pub(crate) fn from_entries(entries: Vec<CacheEntry>) -> Self {
-        LocalViewCache { entries }
-    }
-}
-
 /// One node's cached view, together with the exact-equality key that
 /// guards its reuse.
 ///
@@ -125,8 +83,9 @@ impl LocalViewCache {
 /// reuses the verdict bit-exactly (see
 /// [`crate::ring::expanding_ring_search_status_warm`]).
 ///
-/// The type is opaque outside the crate: only the round engine's own
-/// [`LocalViewCache`] fills entries.
+/// The type is opaque outside the crate: callers hold one entry per
+/// node (a default entry is an empty one) and hand it to
+/// [`crate::compute_node_view`], which alone reads and fills it.
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
     /// Whether the entry holds a computed view.
@@ -149,7 +108,7 @@ pub struct CacheEntry {
     // --- cached view -------------------------------------------------
     // (The region pieces themselves are not retained: hits only ever
     // need the disk and the reach, so caching the geometry would hold
-    // per-node vertex buffers per worker with zero readers.)
+    // per-node vertex buffers with zero readers.)
     /// Chebyshev disk of the region.
     pub(crate) chebyshev: Option<Circle>,
     /// Farthest distance from `self_pos` to the region.

@@ -39,7 +39,7 @@ use crate::history::{History, RoundReport, RunSummary};
 use crate::hooks::{EventOutcome, HookAction, NetworkEvent};
 use crate::localview::{compute_node_view, compute_node_view_warm, NodeView};
 use crate::observer::Observer;
-use crate::scratch::RoundScratch;
+use crate::scratch::{CacheEntry, RoundScratch};
 use laacad_exec::{merge_worker_telemetry, parallel_map_scratched, resolve_workers};
 use laacad_geom::Point;
 use laacad_region::Region;
@@ -88,7 +88,7 @@ pub struct RoundDelta {
     /// geometry (their ρ-neighborhood saw no movement).
     pub skipped_quiescent: usize,
     /// Among the executed searches, nodes whose geometry stage was
-    /// answered by the per-worker cross-round cache.
+    /// answered by their entry in the per-node cross-round cache.
     pub cache_hits: usize,
     /// Executed searches that recomputed the geometry.
     pub cache_misses: usize,
@@ -122,7 +122,9 @@ pub struct SessionCounters {
     pub ring_searches: u64,
     /// Total nodes skipped by the dirty-node index.
     pub skipped_quiescent: u64,
-    /// Total cross-round cache hits (among executed searches).
+    /// Total cross-round cache hits (among executed searches). The
+    /// cache holds one entry per node, whichever worker computes it, so
+    /// the count is the same at every thread count.
     pub cache_hits: u64,
     /// Total cross-round cache misses.
     pub cache_misses: u64,
@@ -198,10 +200,8 @@ impl SessionBuilder {
             return Err(LaacadError::EmptyDeployment);
         }
         config.validate(positions.len())?;
-        for (i, p) in positions.iter().enumerate() {
-            if !region.contains(*p) {
-                return Err(LaacadError::NodeOutsideRegion { index: i });
-            }
+        if let Some(index) = first_misplaced(&region, &positions) {
+            return Err(LaacadError::NodeOutsideRegion { index });
         }
         let net = Network::from_positions(config.gamma, positions.iter().copied());
         let mut session = Session {
@@ -212,6 +212,7 @@ impl SessionBuilder {
             round: 0,
             converged: false,
             scratches: Vec::new(),
+            cache: Vec::new(),
             adjacency: Adjacency::default(),
             adjacency_state: AdjacencyState::StaleFull,
             views: Vec::new(),
@@ -231,6 +232,15 @@ impl SessionBuilder {
     }
 }
 
+/// The first of `positions` a session may not hold: a non-finite one,
+/// or one outside `region`. [`SessionBuilder::build`] and
+/// [`SessionBuilder::restore`] share this rule.
+pub(crate) fn first_misplaced(region: &Region, positions: &[Point]) -> Option<usize> {
+    positions
+        .iter()
+        .position(|&p| !(p.x.is_finite() && p.y.is_finite() && region.contains(p)))
+}
+
 /// A LAACAD deployment session (see the [module docs](self)).
 ///
 /// Fields are `pub(crate)` so [`crate::snapshot`] can serialize and
@@ -246,6 +256,12 @@ pub struct Session {
     pub(crate) converged: bool,
     /// One [`RoundScratch`] per worker, reused across rounds.
     pub(crate) scratches: Vec<RoundScratch>,
+    /// The cross-round view cache: one entry per node id, lent to
+    /// whichever worker computes the node. Grown on demand and kept
+    /// across events without re-indexing: an entry left behind by a
+    /// renumbered node only matches inputs its exact key was computed
+    /// from, so it can never serve a wrong view.
+    pub(crate) cache: Vec<CacheEntry>,
     /// Per-round one-hop snapshot shared by every worker (synchronous
     /// mode), refreshed in place when positions changed.
     pub(crate) adjacency: Adjacency,
@@ -437,7 +453,7 @@ impl Session {
 
     /// Sizes the per-worker scratch pool and pre-sizes each worker's
     /// `N`-proportional buffers, so the first fan-out never grows them
-    /// mid-computation.
+    /// mid-computation; grows the view cache to one entry per node.
     fn ensure_scratches(&mut self, workers: usize) {
         if self.scratches.len() < workers {
             self.scratches.resize_with(workers, RoundScratch::new);
@@ -446,6 +462,9 @@ impl Session {
         let n = self.net.len();
         for scratch in &mut self.scratches {
             scratch.reserve(n);
+        }
+        if self.cache.len() < n {
+            self.cache.resize_with(n, CacheEntry::default);
         }
     }
 
@@ -710,7 +729,8 @@ impl Session {
                 DirtyClass::Partial(verdicts) => Some(verdicts),
                 _ => None,
             };
-            views = parallel_map_scratched(&mut self.scratches, n, |scratch, i| {
+            let cache = &mut self.cache[..n];
+            views = parallel_map_scratched(&mut self.scratches, cache, |scratch, i, entry| {
                 let verdict = verdicts.map_or(0, |v| v[i]);
                 if verdict == REPLAY {
                     return old_views[i];
@@ -724,6 +744,7 @@ impl Session {
                     round,
                     verdict as usize,
                     scratch,
+                    entry,
                 )
             });
             self.drain_kernel_telemetry();
@@ -843,6 +864,7 @@ impl Session {
                 &self.config,
                 self.round,
                 &mut self.scratches[0],
+                &mut self.cache[i],
             );
             agg.messages.absorb(view.messages);
             let u = self.net.position(id);
@@ -1222,9 +1244,11 @@ impl Session {
             }
             let (net, region, config) = (&self.net, &self.region, &self.config);
             let (round, adjacency) = (self.round, &self.adjacency);
-            let radii = parallel_map_scratched(&mut self.scratches, n, |scratch, i| {
+            let cache = &mut self.cache[..n];
+            let radii = parallel_map_scratched(&mut self.scratches, cache, |scratch, i, entry| {
                 let id = NodeId(i);
-                compute_node_view(net, Some(adjacency), id, region, config, round, scratch).reach
+                let adjacency = Some(adjacency);
+                compute_node_view(net, adjacency, id, region, config, round, scratch, entry).reach
             });
             self.drain_kernel_telemetry();
             for (i, r) in radii.into_iter().enumerate() {

@@ -5,7 +5,7 @@
 //! struct-of-arrays vectors, the adjacency snapshot and its staleness
 //! state, the dirty-node index inputs (stored views, validity flag, the
 //! pending movement set), cumulative counters, the run history, and the
-//! per-worker cross-round local-view caches — so that
+//! per-node cross-round view cache — so that
 //! [`SessionBuilder::restore`] reconstructs a session whose subsequent
 //! rounds are **bit-identical** to the uninterrupted run, at any thread
 //! count and either execution schedule (pinned by
@@ -21,7 +21,10 @@
 //! tag followed by `T` when present. Sections, in order: config, region
 //! (outer + hole vertex loops), network SoA, round/flags, stored views,
 //! pending movers, adjacency (state tag + CSR), counters, history
-//! (round reports + position snapshots), and per-worker cache entries.
+//! (round reports + position snapshots), and the view cache as a list
+//! of per-node tables. This version writes exactly one table, so a
+//! snapshot's bytes are the same at every thread count; earlier writers
+//! wrote one table per worker, and the reader folds those into one.
 //!
 //! What is deliberately *not* serialized: spatial-grid internals (the
 //! index is rebuilt deterministically from positions; query results are
@@ -40,8 +43,10 @@
 use crate::config::{CoordinateMode, ExecutionMode, LaacadConfig, RingCapPolicy};
 use crate::history::{History, RoundReport};
 use crate::localview::NodeView;
-use crate::scratch::{CacheEntry, LocalViewCache, RoundScratch};
-use crate::session::{AdjacencyState, MovedNode, Session, SessionBuilder, SessionCounters};
+use crate::scratch::CacheEntry;
+use crate::session::{
+    first_misplaced, AdjacencyState, MovedNode, Session, SessionBuilder, SessionCounters,
+};
 use laacad_geom::{Circle, Point, Polygon};
 use laacad_region::Region;
 use laacad_wsn::radio::MessageStats;
@@ -606,18 +611,18 @@ impl Session {
             w.usize(*round);
             w.points(positions);
         }
-        // Per-worker cross-round caches, in scratch order. At one worker
-        // this is the exact cache; at many the contents already depend
-        // on scheduling (nodes migrate between workers), so restoring
-        // them verbatim keeps exactly the guarantees an uninterrupted
-        // run has — a cold entry only ever costs a recompute.
-        w.usize(self.scratches.len());
-        for scratch in &self.scratches {
-            let entries = scratch.cache.entries();
-            w.usize(entries.len());
-            for e in entries {
-                write_cache_entry(&mut w, e);
-            }
+        // The view cache, as a list holding one table. Trailing entries
+        // that were never filled carry nothing and are left out (a
+        // ranging-mode session never fills any).
+        let live = self
+            .cache
+            .iter()
+            .rposition(|e| e.valid)
+            .map_or(0, |i| i + 1);
+        w.usize(1);
+        w.usize(live);
+        for e in &self.cache[..live] {
+            write_cache_entry(&mut w, e);
         }
         w.buf
     }
@@ -641,6 +646,9 @@ impl SessionBuilder {
         let region = read_region(&mut r)?;
         let net = read_network(&mut r)?;
         let n = net.len();
+        if let Some(i) = first_misplaced(&region, net.positions()) {
+            return Err(corrupt(format!("node {i} lies outside the target area")));
+        }
         let round = r.usize()?;
         let converged = r.bool()?;
         let views_valid = r.bool()?;
@@ -751,17 +759,19 @@ impl SessionBuilder {
             let positions = r.points()?;
             history.push_snapshot(round, positions);
         }
-        let scratches: Vec<RoundScratch> = (0..r.count(8)?)
-            .map(|_| -> Result<RoundScratch, SnapshotError> {
-                let entries: Vec<CacheEntry> = (0..r.count(8)?)
-                    .map(|_| read_cache_entry(&mut r))
-                    .collect::<Result<_, _>>()?;
-                Ok(RoundScratch {
-                    cache: LocalViewCache::from_entries(entries),
-                    ..RoundScratch::default()
-                })
-            })
-            .collect::<Result<_, _>>()?;
+        // Earlier writers emitted one table per worker. Every valid entry
+        // is exact, so each node keeps the first valid one in table order.
+        let mut cache: Vec<CacheEntry> = Vec::new();
+        for _ in 0..r.count(8)? {
+            for i in 0..r.count(8)? {
+                let entry = read_cache_entry(&mut r)?;
+                match cache.get_mut(i) {
+                    None => cache.push(entry),
+                    Some(kept) if !kept.valid => *kept = entry,
+                    Some(_) => {}
+                }
+            }
+        }
         r.finish()?;
         config
             .validate(n)
@@ -776,7 +786,8 @@ impl SessionBuilder {
             history,
             round,
             converged,
-            scratches,
+            scratches: Vec::new(),
+            cache,
             adjacency,
             adjacency_state,
             views,
@@ -1099,6 +1110,79 @@ mod tests {
             assert_eq!(a.messages, b.messages);
             assert_eq!(a.chebyshev, b.chebyshev);
             assert_eq!(a.reach.to_bits(), b.reach.to_bits());
+        }
+    }
+
+    /// A snapshot written at `threads = 4` by the engine that kept one
+    /// view cache per worker: a 24-node k = 1 session (γ from
+    /// `recommended_gamma`, seed 17) converged, three nodes displaced,
+    /// two rounds stepped. Its cache section holds four tables.
+    const FOUR_WORKER_TABLES: &[u8] = include_bytes!("../tests/data/four_worker_tables.bin");
+
+    #[test]
+    fn per_worker_cache_tables_fold_into_one() {
+        let mut s = SessionBuilder::restore(FOUR_WORKER_TABLES).unwrap();
+        assert_eq!(s.config.threads, 4);
+        assert!(s.cache.iter().all(|e| e.valid), "every node was computed");
+        // The re-encoding differs from the writer's only in its cache
+        // section, which now lists one table.
+        let reencoded = s.snapshot();
+        let mut tail = Writer { buf: Vec::new() };
+        tail.usize(1);
+        tail.usize(s.cache.len());
+        for e in &s.cache {
+            write_cache_entry(&mut tail, e);
+        }
+        let at = reencoded.len() - tail.buf.len();
+        assert_eq!(reencoded[at..], tail.buf[..]);
+        assert_eq!(reencoded[..at], FOUR_WORKER_TABLES[..at]);
+        assert_eq!(FOUR_WORKER_TABLES[at..at + 8], 4u64.to_le_bytes());
+        // The folded session steps like a fresh one from its positions.
+        for _ in 0..8 {
+            let mut fresh = Session::builder(s.config.clone())
+                .region(s.region.clone())
+                .positions(s.network().positions().iter().copied())
+                .build()
+                .unwrap();
+            let (mut expected, got) = (fresh.step(), s.step());
+            expected.report.round = got.report.round;
+            assert_eq!(got.report, expected.report);
+            assert_eq!(got.moved, expected.moved);
+            assert_eq!(s.network().sensing_radii(), fresh.network().sensing_radii());
+        }
+        assert!(s.counters.cache_hits > 0, "{:?}", s.counters);
+        assert_eq!(
+            SessionBuilder::restore(&s.snapshot()).unwrap().snapshot(),
+            s.snapshot()
+        );
+    }
+
+    #[test]
+    fn restore_rejects_what_build_rejects() {
+        let mut s = session(30, 2, 3);
+        s.step();
+        let intact = s.snapshot();
+        for (cap_vertices, max_rho, y) in [
+            (0, None, 0.5),
+            (7, None, 0.5),
+            (64, Some(f64::NAN), 0.5),
+            (64, Some(0.0), 0.5),
+            (64, None, 4.39e307),
+            (64, None, f64::NAN),
+            (64, None, f64::INFINITY),
+            (64, None, 1.5),
+        ] {
+            let mut bad = SessionBuilder::restore(&intact).unwrap();
+            bad.config.cap_vertices = cap_vertices;
+            bad.config.max_rho = max_rho;
+            bad.net.move_node(NodeId(4), Point::new(0.5, y));
+            assert!(
+                matches!(
+                    SessionBuilder::restore(&bad.snapshot()).unwrap_err(),
+                    SnapshotError::Corrupt(_)
+                ),
+                "{cap_vertices}, {max_rho:?}, {y}"
+            );
         }
     }
 

@@ -1,6 +1,8 @@
-//! Error paths of the mid-run mutation API: `Session::displace_nodes`
-//! and `Session::apply_event` must validate up front, fail with the
-//! documented error, and leave the session completely untouched —
+//! Error paths of session construction and of the mid-run mutation
+//! API: `SessionBuilder::build` must reject what it cannot run, and
+//! `Session::displace_nodes` and `Session::apply_event` must validate
+//! up front, fail with the documented error, and leave the session
+//! completely untouched —
 //! a rejected mutation followed by a run must behave exactly like no
 //! mutation attempt at all.
 
@@ -210,4 +212,41 @@ fn events_on_an_already_shrunk_population_use_live_ids() {
         .displace_nodes(&[(NodeId(7), Point::new(0.5, 0.5))])
         .unwrap_err();
     assert!(matches!(err, LaacadError::UnknownNode { id: 7, n: 7 }));
+}
+
+#[test]
+fn build_rejects_what_it_cannot_run() {
+    let region = Region::square(1.0).unwrap();
+    let good = LaacadConfig::builder(1).build().unwrap();
+    let inside = Point::new(0.5, 0.5);
+    for (gamma, cap_vertices, max_rho, y) in [
+        (0.1, 0, None, 0.5),
+        (0.1, 64, Some(f64::INFINITY), 0.5),
+        (0.1, 64, Some(-1.0), 0.5),
+        (f64::INFINITY, 64, None, 0.5),
+        (0.1, 64, None, f64::NAN),
+        (0.1, 64, None, 4.39e307),
+    ] {
+        let config = LaacadConfig {
+            gamma,
+            cap_vertices,
+            max_rho,
+            ..good.clone()
+        };
+        let err = Session::builder(config)
+            .region(region.clone())
+            .positions([inside, Point::new(0.5, y)])
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LaacadError::InvalidGamma(_)
+                    | LaacadError::InvalidCapVertices(0)
+                    | LaacadError::InvalidMaxRho(_)
+                    | LaacadError::NodeOutsideRegion { index: 1 }
+            ),
+            "{gamma}, {cap_vertices}, {max_rho:?}, {y}: {err:?}"
+        );
+    }
 }

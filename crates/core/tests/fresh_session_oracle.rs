@@ -1,7 +1,7 @@
 //! The engine against a from-scratch reference, round by round.
 //!
 //! A long-lived session carries state across rounds: stored views the
-//! dirty-node index replays, per-worker view caches, an adjacency
+//! dirty-node index replays, a per-node view cache, an adjacency
 //! snapshot patched from each round's movement delta, ρ warm starts
 //! and pooled classifier buffers. A freshly built session has none of
 //! it — its first round computes every node cold, from a full adjacency

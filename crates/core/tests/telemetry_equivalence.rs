@@ -8,7 +8,7 @@
 
 use laacad::telemetry::validate::validate_metrics_jsonl;
 use laacad::{
-    LaacadConfig, NetworkEvent, NoopRecorder, Recorder, Session, SessionTelemetry,
+    LaacadConfig, NetworkEvent, NoopRecorder, Recorder, Session, SessionCounters, SessionTelemetry,
     TelemetryRegistry,
 };
 use laacad_geom::Point;
@@ -138,7 +138,9 @@ fn jsonl_metrics_are_byte_stable_across_reruns() {
     );
     // The engine's work metrics are bit-identical across worker counts,
     // so the deterministic stream is too — stability is not a
-    // serial-only property.
+    // serial-only property. (This run never hits the view cache;
+    // `jsonl_and_counters_match_across_thread_counts_when_the_cache_works`
+    // covers one that does.)
     let (_, parallel) = run_fingerprint(4, Wiring::Full);
     assert_eq!(doc, full_bundle(parallel).jsonl.finish());
 
@@ -151,6 +153,47 @@ fn jsonl_metrics_are_byte_stable_across_reruns() {
         first.registry.counter_total("ring_searches")
     );
     assert!(summary.counter_total("nodes_moved") > 0);
+}
+
+/// A deployment that converges and is then disturbed four times by
+/// localized displacements, so its rounds replay quiescent nodes, hit
+/// the view cache and warm-start searches. Returns the JSONL metric
+/// stream and the session's counters.
+fn converge_then_disturb(threads: usize) -> (String, SessionCounters) {
+    let mut sim = build(threads);
+    sim.set_recorder(Box::new(SessionTelemetry::new()));
+    while !sim.step().report.converged {}
+    for j in 0..4 {
+        let center = Point::new(0.2 + 0.2 * j as f64, 0.5);
+        let moves: Vec<(NodeId, Point)> = sim
+            .network()
+            .positions()
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.distance(center) <= 0.12)
+            .map(|(i, p)| (NodeId(i), Point::new(0.98 * p.x + 0.01, p.y)))
+            .collect();
+        sim.displace_nodes(&moves).unwrap();
+        for _ in 0..12 {
+            sim.step();
+        }
+    }
+    let counters = sim.counters();
+    (full_bundle(sim.take_recorder()).jsonl.finish(), counters)
+}
+
+#[test]
+fn jsonl_and_counters_match_across_thread_counts_when_the_cache_works() {
+    let (serial, counters) = converge_then_disturb(1);
+    assert!(
+        counters.cache_hits > 0 && counters.warm_started > 0 && counters.skipped_quiescent > 0,
+        "the fixture must exercise the cache, warm starts and skips: {counters:?}"
+    );
+    for threads in [2, 4] {
+        let (parallel, parallel_counters) = converge_then_disturb(threads);
+        assert_eq!(parallel_counters, counters, "threads = {threads}");
+        assert!(serial == parallel, "threads = {threads}: JSONL differs");
+    }
 }
 
 #[test]

@@ -46,7 +46,9 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use laacad::NodeView;
-use laacad::{compute_node_view, LaacadConfig, LaacadError, RoundReport, RoundScratch, RunSummary};
+use laacad::{
+    compute_node_view, CacheEntry, LaacadConfig, LaacadError, RoundReport, RoundScratch, RunSummary,
+};
 use laacad_exec::{parallel_map_scratched, resolve_workers};
 use laacad_geom::Point;
 use laacad_region::sampling::SplitMix64;
@@ -431,9 +433,12 @@ pub struct AsyncExecutor {
     seq: u64,
     now: u64,
     nodes: Vec<NodeMachine>,
-    scratch: RoundScratch,
-    /// Per-worker scratches for speculative batch precomputes.
+    /// One scratch per worker (at least one); the serial pass uses the
+    /// first.
     scratches: Vec<RoundScratch>,
+    /// The cross-round view cache, one entry per node, shared by the
+    /// serial pass and the worker fan-outs.
+    cache: Vec<CacheEntry>,
     workers: usize,
     rounds: Vec<RoundAccum>,
     stats: ProtocolStats,
@@ -550,12 +555,8 @@ impl AsyncExecutor {
             seq: 0,
             now: 0,
             nodes: (0..n).map(|_| NodeMachine::new()).collect(),
-            scratch: RoundScratch::new(),
-            scratches: if workers > 1 {
-                (0..workers).map(|_| RoundScratch::new()).collect()
-            } else {
-                Vec::new()
-            },
+            scratches: (0..workers.max(1)).map(|_| RoundScratch::new()).collect(),
+            cache: (0..n).map(|_| CacheEntry::default()).collect(),
             workers,
             rounds: Vec::new(),
             stats: ProtocolStats::default(),
@@ -879,14 +880,32 @@ impl AsyncExecutor {
         if cands.len() < 2 {
             return out;
         }
-        let net = &self.net;
-        let region = &self.region;
-        let config = &self.config;
-        let views = parallel_map_scratched(&mut self.scratches, cands.len(), |scratch, idx| {
-            let (_, node, round) = cands[idx];
-            compute_node_view(net, None, NodeId(node), region, config, round, scratch)
-        });
-        for ((seq, _, _), view) in cands.into_iter().zip(views) {
+        // Positions are frozen here, so a node's checks all see the same
+        // view: only its first is precomputed, with the node's cache entry
+        // lent to the fan-out and returned after it.
+        cands.sort_unstable_by_key(|&(seq, node, _)| (node, seq));
+        cands.dedup_by_key(|&mut (_, node, _)| node);
+        let mut lent: Vec<CacheEntry> = cands
+            .iter()
+            .map(|&(_, node, _)| std::mem::take(&mut self.cache[node]))
+            .collect();
+        let (net, region, config) = (&self.net, &self.region, &self.config);
+        let views =
+            parallel_map_scratched(&mut self.scratches, &mut lent, |scratch, idx, entry| {
+                let (_, node, round) = cands[idx];
+                compute_node_view(
+                    net,
+                    None,
+                    NodeId(node),
+                    region,
+                    config,
+                    round,
+                    scratch,
+                    entry,
+                )
+            });
+        for ((seq, node, _), (entry, view)) in cands.into_iter().zip(lent.into_iter().zip(views)) {
+            self.cache[node] = entry;
             out.insert(seq, view);
         }
         out
@@ -1170,7 +1189,8 @@ impl AsyncExecutor {
             &self.region,
             &self.config,
             round,
-            &mut self.scratch,
+            &mut self.scratches[0],
+            &mut self.cache[i],
         );
         for &(subject, truth) in saved.iter().rev() {
             self.net.override_position(NodeId(subject), truth);
@@ -1195,7 +1215,8 @@ impl AsyncExecutor {
                 &self.region,
                 &self.config,
                 round,
-                &mut self.scratch,
+                &mut self.scratches[0],
+                &mut self.cache[i],
             ),
         };
         self.stats.computes += 1;
@@ -1365,36 +1386,21 @@ impl AsyncExecutor {
     /// serially in id order — bit-identical to the serial pass).
     fn finalize(&mut self, rounds_executed: usize) {
         let n = self.net.len();
-        let views: Vec<NodeView> = if self.workers > 1 && n > 1 {
-            let net = &self.net;
-            let region = &self.region;
-            let config = &self.config;
-            parallel_map_scratched(&mut self.scratches, n, |scratch, i| {
+        let (net, region, config) = (&self.net, &self.region, &self.config);
+        let views =
+            parallel_map_scratched(&mut self.scratches, &mut self.cache, |scratch, i, entry| {
+                let id = NodeId(i);
                 compute_node_view(
                     net,
                     None,
-                    NodeId(i),
+                    id,
                     region,
                     config,
                     rounds_executed,
                     scratch,
+                    entry,
                 )
-            })
-        } else {
-            (0..n)
-                .map(|i| {
-                    compute_node_view(
-                        &self.net,
-                        None,
-                        NodeId(i),
-                        &self.region,
-                        &self.config,
-                        rounds_executed,
-                        &mut self.scratch,
-                    )
-                })
-                .collect()
-        };
+            });
         self.final_rhos = Vec::with_capacity(n);
         for (i, view) in views.into_iter().enumerate() {
             self.net.set_sensing_radius(NodeId(i), view.reach);

@@ -6,7 +6,7 @@
 //! thread count of the sync engine. This is the same discipline PR 3–6
 //! used to pin their on/off knobs.
 
-use laacad::{compute_node_view, LaacadConfig, RoundScratch, Session};
+use laacad::{compute_node_view, CacheEntry, LaacadConfig, RoundScratch, Session};
 use laacad_dist::{AsyncConfig, AsyncExecutor, FaultPlan};
 use laacad_geom::Point;
 use laacad_region::sampling::sample_uniform;
@@ -43,7 +43,21 @@ fn radii_bits(net: &Network) -> Vec<u64> {
 fn final_rhos(net: &Network, region: &Region, config: &LaacadConfig, round: usize) -> Vec<f64> {
     let mut scratch = RoundScratch::new();
     (0..net.len())
-        .map(|i| compute_node_view(net, None, NodeId(i), region, config, round, &mut scratch).rho)
+        .map(|i| {
+            let mut entry = CacheEntry::default();
+            let id = NodeId(i);
+            compute_node_view(
+                net,
+                None,
+                id,
+                region,
+                config,
+                round,
+                &mut scratch,
+                &mut entry,
+            )
+            .rho
+        })
         .collect()
 }
 

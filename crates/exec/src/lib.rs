@@ -13,10 +13,11 @@
 //! * [`parallel_map_with`] — the same with an explicit worker count
 //!   (`0` = all cores), for callers that already parallelize at an outer
 //!   level and must bound nesting;
-//! * [`parallel_map_scratched`] — map over the index range `0..len` with
+//! * [`parallel_map_scratched`] — map over a mutable item slice with
 //!   one caller-owned scratch value per worker, for hot loops whose
 //!   per-item work reuses large buffers (the round engine's
-//!   `RoundScratch`).
+//!   `RoundScratch`) and updates per-item state (its per-node view
+//!   cache entries).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -169,39 +170,54 @@ where
     })
 }
 
-/// Maps `f` over the index range `0..len` with one scratch value per
-/// worker, preserving index order in the output.
+/// Maps `f` over `items` with one scratch value per worker, preserving
+/// item order in the output.
 ///
 /// `scratches` supplies the per-worker state: one worker is spawned per
 /// element (callers size it with [`resolve_workers`] and keep it across
 /// calls so buffers warm up once). With zero or one scratch the map runs
-/// sequentially on the caller's thread using `scratches[0]`.
+/// sequentially on the caller's thread using `scratches[0]`. Each call
+/// receives its worker's scratch, the item's index and the item itself,
+/// mutably — per-item state (a per-node cache entry) lives in the
+/// items, so it is the same whichever worker claims the item.
 ///
-/// Determinism: `f` receives only the claimed index and its worker's
-/// scratch, so as long as `f(_, i)` is a pure function of `i` (scratch
-/// used for buffers, not for cross-item state), the output is identical
-/// for every worker count and schedule.
+/// Determinism: as long as `f(_, i, item)` depends only on `i` and
+/// `item` (scratch used for buffers, not for cross-item state), the
+/// output and the items' final state are identical for every worker
+/// count and schedule.
 ///
 /// # Panics
 ///
-/// Panics when `len > 0` and `scratches` is empty, and propagates panics
-/// from `f`.
-pub fn parallel_map_scratched<S, R, F>(scratches: &mut [S], len: usize, f: F) -> Vec<R>
+/// Panics when `items` is non-empty and `scratches` is empty, and
+/// propagates panics from `f`.
+pub fn parallel_map_scratched<S, T, R, F>(scratches: &mut [S], items: &mut [T], f: F) -> Vec<R>
 where
     S: Send,
+    T: Send,
     R: Send,
-    F: Fn(&mut S, usize) -> R + Sync,
+    F: Fn(&mut S, usize, &mut T) -> R + Sync,
 {
+    let len = items.len();
     if len == 0 {
         return Vec::new();
     }
     assert!(!scratches.is_empty(), "need at least one scratch value");
     if scratches.len() == 1 {
         let scratch = &mut scratches[0];
-        return (0..len).map(|i| f(scratch, i)).collect();
+        return items
+            .iter_mut()
+            .enumerate()
+            .map(|(i, item)| f(scratch, i, item))
+            .collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
+    // Slot `i` lends item `i` to the worker that claims index `i`, then
+    // holds that worker's result.
+    type Slot<'a, T, R> = Mutex<(Option<&'a mut T>, Option<R>)>;
+    let slots: Vec<Slot<'_, T, R>> = items
+        .iter_mut()
+        .map(|item| Mutex::new((Some(item), None)))
+        .collect();
     std::thread::scope(|scope| {
         for scratch in scratches.iter_mut() {
             scope.spawn(|| loop {
@@ -209,8 +225,9 @@ where
                 if i >= len {
                     break;
                 }
-                let result = f(scratch, i);
-                *slots[i].lock().expect("slot mutex") = Some(result);
+                let item = slots[i].lock().expect("slot mutex").0.take();
+                let result = f(scratch, i, item.expect("each index is claimed once"));
+                slots[i].lock().expect("slot mutex").1 = Some(result);
             });
         }
     });
@@ -219,6 +236,7 @@ where
         .map(|slot| {
             slot.into_inner()
                 .expect("slot mutex")
+                .1
                 .expect("every index produces a result")
         })
         .collect()
@@ -317,19 +335,24 @@ mod tests {
         let expect: Vec<usize> = (0..321).map(|i| i + 1000).collect();
         for workers in [1usize, 2, 5, 8] {
             let mut scratches = vec![0usize; workers];
-            let got = parallel_map_scratched(&mut scratches, 321, |s, i| {
+            let mut items: Vec<usize> = (0..321).map(|i| 2 * i).collect();
+            let got = parallel_map_scratched(&mut scratches, &mut items, |s, i, item| {
                 *s += 1; // scratch mutation must not affect results
+                assert_eq!(*item, 2 * i, "each call gets its own item");
+                *item += 1;
                 i + 1000
             });
             assert_eq!(got, expect, "workers = {workers}");
             // Every item was processed exactly once across workers.
             assert_eq!(scratches.iter().sum::<usize>(), 321);
+            assert!(items.iter().enumerate().all(|(i, &x)| x == 2 * i + 1));
         }
     }
 
     #[test]
-    fn scratched_map_empty_len_is_fine_without_scratches() {
-        let out: Vec<u8> = parallel_map_scratched(&mut Vec::<u8>::new(), 0, |_, _| 0);
+    fn scratched_map_empty_items_is_fine_without_scratches() {
+        let out: Vec<u8> =
+            parallel_map_scratched(&mut Vec::<u8>::new(), &mut Vec::<u8>::new(), |_, _, _| 0);
         assert!(out.is_empty());
     }
 

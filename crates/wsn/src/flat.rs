@@ -1,50 +1,40 @@
-//! Flat dense spatial grid — the million-node layout of the index.
+//! Flat dense spatial grid — the network's spatial index.
 //!
-//! [`crate::spatial::SpatialGrid`] hashes every cell probe and scatters
-//! its buckets across the heap; at N = 10⁵–10⁶ the per-query hashing and
-//! pointer chasing dominate the radius queries every round performs.
-//! [`FlatGrid`] stores the same index as one row-major cell array over
-//! the point cloud's bounding box: CSR-style `starts`/`entries` arrays
-//! built by a counting sort, a per-cell occupancy prefix so point
-//! relocation is an O(1) swap-remove + append, and per-point back
-//! pointers (`cell_of`/`slot_of`) so `apply_moves` touches only the
-//! movers' source and destination cells. A radius query walks contiguous
-//! row runs of the cell array — no hashing, no per-bucket allocation.
+//! Every LAACAD round issues `N` radius queries (one expanding-ring
+//! search per node). [`FlatGrid`] stores the points as one row-major
+//! cell array over the point cloud's bounding box: CSR-style
+//! `starts`/`entries` arrays built by a counting sort, a per-cell
+//! occupancy prefix so point relocation is an O(1) swap-remove +
+//! append, and per-point back pointers (`cell_of`/`slot_of`) so
+//! `apply_moves` touches only the movers' source and destination cells.
+//! A radius query walks contiguous row runs of the cell array — no
+//! hashing, no per-bucket allocation.
 //!
-//! Both index layouts implement the identical query contract
-//! ([`FlatGrid::within_into`] sorts its output like
-//! [`crate::spatial::SpatialGrid::within_into`]), so swapping one for the other is invisible to callers — results are
-//! bit-identical, which is what lets [`GridIndex`] pick the layout per
-//! deployment without perturbing any round.
-//!
-//! The flat layout only pays off while the bounding box is dense in
-//! points: a handful of far-flung outliers would inflate the cell array
-//! without bound. [`FlatGrid::try_build`] therefore refuses (returns
-//! `None`) when the box would need more than a small multiple of N
-//! cells, and [`GridIndex::build`] falls back to the hash grid — the
-//! sparse/paged fallback of the flat design. Mutations that escape the
+//! The array only stays small while the bounding box is dense in
+//! points: a handful of far-flung outliers would inflate it without
+//! bound. [`FlatGrid::build`] therefore doubles its cell size until the
+//! box needs at most a small multiple of N cells. A query tests every
+//! candidate's distance, so results are exact at any cell size; a
+//! coarser cell only scans more candidates. Mutations that escape the
 //! current box or overflow a cell's slack report failure instead of
 //! degrading, and the owner (who holds the positions) rebuilds in O(N).
 
-use crate::spatial::SpatialGrid;
 use laacad_geom::Point;
 
 /// Spare slots reserved per cell at build time, so points can migrate
 /// into a cell a few times before the grid asks for a rebuild.
 const CELL_SLACK: u32 = 4;
 
-/// A build is refused when the bounding box needs more than
-/// `DENSITY_LIMIT · N + DENSITY_SLACK` cells — the point cloud is too
-/// sparse for a dense array to pay off.
+/// A build coarsens its cell until the bounding box needs at most
+/// `DENSITY_LIMIT · N + DENSITY_SLACK` cells, so a sparse point cloud
+/// cannot inflate the dense array.
 const DENSITY_LIMIT: u128 = 2;
 const DENSITY_SLACK: u128 = 64;
 
 /// A dense row-major grid over points with a fixed cell size.
 ///
-/// Indexes points by their position in an external slice, exactly like
-/// [`SpatialGrid`]; the cell decomposition (`floor(p / cell)` per axis)
-/// is also identical, so the two layouts index the same point into the
-/// same cell.
+/// Indexes points by their position in an external slice; point `p`
+/// lives in cell `floor(p / cell)` per axis.
 #[derive(Debug, Clone)]
 pub struct FlatGrid {
     cell: f64,
@@ -66,19 +56,20 @@ pub struct FlatGrid {
 }
 
 impl FlatGrid {
-    /// Builds a dense grid with the given cell size over `points`
-    /// (indexed by position in the slice), or `None` when the point
-    /// cloud's bounding box is too sparse for a dense cell array (or the
-    /// index would overflow `u32`).
+    /// Builds a dense grid over `points` (indexed by position in the
+    /// slice) with the given cell size — doubled as often as it takes
+    /// for the bounding box to need at most `DENSITY_LIMIT · N +
+    /// DENSITY_SLACK` cells. A dense cloud keeps the requested size.
     ///
     /// # Panics
     ///
-    /// Panics when `cell` is not strictly positive.
-    pub fn try_build(points: &[Point], cell: f64) -> Option<Self> {
+    /// Panics when `cell` is not strictly positive and finite, or when
+    /// the index would overflow `u32`.
+    pub fn build(points: &[Point], cell: f64) -> Self {
         assert!(cell.is_finite() && cell > 0.0, "cell size must be positive");
         let n = points.len();
         if n == 0 {
-            return Some(FlatGrid {
+            return FlatGrid {
                 cell,
                 gx0: 0,
                 gy0: 0,
@@ -89,32 +80,29 @@ impl FlatGrid {
                 entries: Vec::new(),
                 cell_of: Vec::new(),
                 slot_of: Vec::new(),
-            });
+            };
         }
         // Entry count is at most `n + CELL_SLACK · ncells ≤ 9n + 256`;
         // keep it comfortably inside `u32`.
-        if n > u32::MAX as usize / 16 {
-            return None;
-        }
-        let (mut gx0, mut gy0) = (i64::MAX, i64::MAX);
-        let (mut gx1, mut gy1) = (i64::MIN, i64::MIN);
-        for &p in points {
-            let (gx, gy) = key(p, cell);
-            gx0 = gx0.min(gx);
-            gy0 = gy0.min(gy);
-            gx1 = gx1.max(gx);
-            gy1 = gy1.max(gy);
-        }
-        // Span arithmetic in wide integers: a degenerate cell size next
-        // to spread-out points could overflow i64 spans.
-        let cols = (gx1 as i128 - gx0 as i128 + 1) as u128;
-        let rows = (gy1 as i128 - gy0 as i128 + 1) as u128;
-        let ncells = cols.checked_mul(rows)?;
-        if ncells > DENSITY_LIMIT * n as u128 + DENSITY_SLACK {
-            return None;
-        }
+        assert!(
+            n <= u32::MAX as usize / 16,
+            "too many points for a u32 index"
+        );
+        // Terminates: once the cell overflows to infinity every key is
+        // `(0, 0)` (NaN keys included), a single cell.
+        let mut cell = cell;
+        let ((gx0, gy0), cols, rows) = loop {
+            let (origin, cols, rows) = key_box(points, cell);
+            if cols
+                .checked_mul(rows)
+                .is_some_and(|c| c <= DENSITY_LIMIT * n as u128 + DENSITY_SLACK)
+            {
+                break (origin, cols, rows);
+            }
+            cell *= 2.0;
+        };
         let (cols, rows) = (cols as usize, rows as usize);
-        let ncells = ncells as usize;
+        let ncells = cols * rows;
         let mut grid = FlatGrid {
             cell,
             gx0,
@@ -149,7 +137,7 @@ impl FlatGrid {
             grid.slot_of[i] = slot;
             grid.lens[c] += 1;
         }
-        Some(grid)
+        grid
     }
 
     /// Linear cell index of a grid key, or `None` when the key falls
@@ -166,9 +154,9 @@ impl FlatGrid {
         Some(cy * self.cols + cx)
     }
 
-    /// Like [`SpatialGrid::within_into`]: indices of all points within
-    /// Euclidean distance `radius` of `q` (inclusive), ascending,
-    /// appended into a caller-owned buffer (cleared first).
+    /// Indices of all points within Euclidean distance `radius` of `q`
+    /// (inclusive), ascending, appended into a caller-owned buffer
+    /// (cleared first) — the form every per-round hot query uses.
     pub fn within_into(&self, points: &[Point], q: Point, radius: f64, out: &mut Vec<usize>) {
         out.clear();
         let r = radius.max(0.0);
@@ -190,16 +178,6 @@ impl FlatGrid {
             }
         }
         out.sort_unstable();
-    }
-
-    /// **Test-only convenience** mirroring [`SpatialGrid::within`]:
-    /// allocates a fresh `Vec` per call, so no hot path uses it —
-    /// per-round queries go through [`FlatGrid::within_into`] with a
-    /// reused buffer.
-    pub fn within(&self, points: &[Point], q: Point, radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.within_into(points, q, radius, &mut out);
-        out
     }
 
     /// The query's key range intersected with the grid extent, as
@@ -285,17 +263,36 @@ impl FlatGrid {
         ok
     }
 
-    /// The configured cell size.
+    /// The cell size in force (the requested one, unless the build had
+    /// to coarsen it).
     pub fn cell_size(&self) -> f64 {
         self.cell
     }
 }
 
-/// Grid key of a point — must stay identical to
-/// [`SpatialGrid`]'s cell decomposition.
+/// Grid key of a point.
 #[inline]
 fn key(p: Point, cell: f64) -> (i64, i64) {
     ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
+}
+
+/// The key bounding box of `points` (non-empty) at the given cell size:
+/// its lower-left key and its column and row counts. Spans are computed
+/// in wide integers: a small cell next to spread-out points could
+/// overflow `i64` spans.
+fn key_box(points: &[Point], cell: f64) -> ((i64, i64), u128, u128) {
+    let (mut gx0, mut gy0) = (i64::MAX, i64::MAX);
+    let (mut gx1, mut gy1) = (i64::MIN, i64::MIN);
+    for &p in points {
+        let (gx, gy) = key(p, cell);
+        gx0 = gx0.min(gx);
+        gy0 = gy0.min(gy);
+        gx1 = gx1.max(gx);
+        gy1 = gy1.max(gy);
+    }
+    let cols = (gx1 as i128 - gx0 as i128 + 1) as u128;
+    let rows = (gy1 as i128 - gy0 as i128 + 1) as u128;
+    ((gx0, gy0), cols, rows)
 }
 
 /// Converts a clamped key range into inclusive `usize` cell coordinate
@@ -310,91 +307,6 @@ fn range_cells(
         return None;
     }
     Some(((x0 as usize, x1 as usize), (y0 as usize, y1 as usize)))
-}
-
-/// The spatial index behind [`crate::Network`]: one of the two
-/// bit-identical layouts.
-///
-/// [`GridIndex::build`] always tries the flat layout first and falls
-/// back to the hash grid when the point cloud is too sparse for it. The
-/// fallible mutations ([`GridIndex::insert`] /
-/// [`GridIndex::apply_moves`] / [`GridIndex::relocate`]) report `false`
-/// when the flat layout needs a rebuild; the hash layout never does.
-#[derive(Debug, Clone)]
-pub enum GridIndex {
-    /// Hash-bucket layout ([`SpatialGrid`]) — handles any point cloud.
-    Hash(SpatialGrid),
-    /// Dense row-major layout ([`FlatGrid`]) — the large-N fast path.
-    Flat(FlatGrid),
-}
-
-impl GridIndex {
-    /// Builds an index over `points`: the flat layout when the bounding
-    /// box is dense enough, the hash grid otherwise.
-    pub fn build(points: &[Point], cell: f64) -> Self {
-        match FlatGrid::try_build(points, cell) {
-            Some(flat) => GridIndex::Flat(flat),
-            None => GridIndex::Hash(SpatialGrid::build(points, cell)),
-        }
-    }
-
-    /// Whether the flat layout is active.
-    pub fn is_flat(&self) -> bool {
-        matches!(self, GridIndex::Flat(_))
-    }
-
-    /// See [`SpatialGrid::within_into`].
-    pub fn within_into(&self, points: &[Point], q: Point, radius: f64, out: &mut Vec<usize>) {
-        match self {
-            GridIndex::Hash(g) => g.within_into(points, q, radius, out),
-            GridIndex::Flat(g) => g.within_into(points, q, radius, out),
-        }
-    }
-
-    /// Adds point `i` at `p`; `false` means the index must be rebuilt.
-    #[must_use]
-    pub fn insert(&mut self, i: usize, p: Point) -> bool {
-        match self {
-            GridIndex::Hash(g) => {
-                g.insert(i, p);
-                true
-            }
-            GridIndex::Flat(g) => g.insert(i, p),
-        }
-    }
-
-    /// Moves point `i`; `false` means the index must be rebuilt.
-    #[must_use]
-    pub fn relocate(&mut self, i: usize, old: Point, new: Point) -> bool {
-        match self {
-            GridIndex::Hash(g) => {
-                g.relocate(i, old, new);
-                true
-            }
-            GridIndex::Flat(g) => g.relocate(i, old, new),
-        }
-    }
-
-    /// Applies a move batch, always draining the iterator (side effects
-    /// included); `false` means the index must be rebuilt.
-    #[must_use]
-    pub fn apply_moves(&mut self, moves: impl IntoIterator<Item = (usize, Point, Point)>) -> bool {
-        match self {
-            GridIndex::Hash(g) => {
-                g.apply_moves(moves);
-                true
-            }
-            GridIndex::Flat(g) => g.apply_moves(moves),
-        }
-    }
-
-    /// The configured cell size.
-    pub fn cell_size(&self) -> f64 {
-        match self {
-            GridIndex::Hash(g) => g.cell_size(),
-            GridIndex::Flat(g) => g.cell_size(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -417,26 +329,37 @@ mod tests {
         out
     }
 
+    fn brute(pts: &[Point], q: Point, r: f64) -> Vec<usize> {
+        (0..pts.len())
+            .filter(|&i| pts[i].distance(q) <= r + 1e-9)
+            .collect()
+    }
+
+    const QUERIES: &[(f64, f64, f64)] = &[
+        (0.5, 0.5, 0.2),
+        (0.0, 0.0, 0.15),
+        (0.95, 0.5, 0.3),
+        (0.5, 0.5, 5.0),
+        (-2.0, -2.0, 0.5),
+        (2.0, 2.0, 3.0),
+    ];
+
     #[test]
-    fn within_matches_hash_grid() {
+    fn within_matches_brute_force() {
         let pts = cloud();
-        let flat = FlatGrid::try_build(&pts, 0.25).expect("dense cloud");
-        let hash = SpatialGrid::build(&pts, 0.25);
-        for &(qx, qy, r) in &[
-            (0.5, 0.5, 0.2),
-            (0.0, 0.0, 0.15),
-            (0.95, 0.5, 0.3),
-            (0.5, 0.5, 5.0),
-            (-2.0, -2.0, 0.5),
-            (2.0, 2.0, 3.0),
-        ] {
+        let grid = FlatGrid::build(&pts, 0.25);
+        assert_eq!(grid.cell_size(), 0.25, "a dense cloud keeps its cell");
+        for &(qx, qy, r) in QUERIES {
             let q = Point::new(qx, qy);
             assert_eq!(
-                within(&flat, &pts, q, r),
-                hash.within(&pts, q, r),
+                within(&grid, &pts, q, r),
+                brute(&pts, q, r),
                 "query ({qx},{qy}) r={r}"
             );
         }
+        let mut buf = vec![999usize; 4]; // stale content must be cleared
+        grid.within_into(&pts, Point::new(0.5, 0.5), 0.15, &mut buf);
+        assert_eq!(buf, brute(&pts, Point::new(0.5, 0.5), 0.15));
     }
 
     #[test]
@@ -446,14 +369,14 @@ mod tests {
             Point::new(2.0, 2.0),
             Point::new(1.0, 1.0),
         ];
-        let grid = FlatGrid::try_build(&pts, 0.5).expect("dense");
+        let grid = FlatGrid::build(&pts, 0.5);
         assert_eq!(within(&grid, &pts, Point::new(1.0, 1.0), 0.0), vec![0, 2]);
     }
 
     #[test]
     fn relocate_keeps_queries_correct() {
         let mut pts = cloud();
-        let mut grid = FlatGrid::try_build(&pts, 0.25).expect("dense cloud");
+        let mut grid = FlatGrid::build(&pts, 0.25);
         // In-box move.
         let old = pts[7];
         pts[7] = Point::new(0.51, 0.52);
@@ -474,7 +397,7 @@ mod tests {
     #[test]
     fn insert_extends_queries_and_reports_overflow() {
         let mut pts = cloud();
-        let mut grid = FlatGrid::try_build(&pts, 0.25).expect("dense cloud");
+        let mut grid = FlatGrid::build(&pts, 0.25);
         pts.push(Point::new(0.55, 0.55));
         assert!(grid.insert(pts.len() - 1, pts[pts.len() - 1]));
         assert!(within(&grid, &pts, Point::new(0.55, 0.55), 0.01).contains(&(pts.len() - 1)));
@@ -482,7 +405,7 @@ mod tests {
         assert!(!grid.insert(pts.len(), Point::new(5.0, 5.0)));
         // A cell accepts at most `CELL_SLACK` net arrivals before
         // demanding a rebuild.
-        let mut grid = FlatGrid::try_build(&pts, 0.25).expect("dense cloud");
+        let mut grid = FlatGrid::build(&pts, 0.25);
         let mut accepted = 0;
         for extra in 0..=CELL_SLACK as usize {
             if grid.insert(pts.len() + extra, Point::new(0.3, 0.3)) {
@@ -493,21 +416,40 @@ mod tests {
     }
 
     #[test]
-    fn sparse_cloud_refuses_flat_build() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)];
-        assert!(FlatGrid::try_build(&pts, 0.1).is_none());
-        // And the unified index falls back to the hash layout.
-        let index = GridIndex::build(&pts, 0.1);
-        assert!(!index.is_flat());
-        let mut out = Vec::new();
-        index.within_into(&pts, Point::new(0.0, 0.0), 1.0, &mut out);
-        assert_eq!(out, vec![0]);
+    fn sparse_cloud_coarsens_its_cell_and_stays_exact() {
+        let mut pts = cloud();
+        pts.push(Point::new(1000.0, 1000.0));
+        pts.push(Point::new(-3.0, 250.0));
+        let grid = FlatGrid::build(&pts, 0.1);
+        let limit = DENSITY_LIMIT as usize * pts.len() + DENSITY_SLACK as usize;
+        assert!(grid.cell_size() > 0.1);
+        assert!(grid.cols * grid.rows <= limit);
+        // One doubling fewer would not have fit.
+        let (_, cols, rows) = key_box(&pts, grid.cell_size() / 2.0);
+        assert!(cols * rows > limit as u128);
+        for &(qx, qy, r) in QUERIES
+            .iter()
+            .chain(&[(1000.0, 1000.0, 0.5), (0.0, 0.0, 1e4)])
+        {
+            let q = Point::new(qx, qy);
+            assert_eq!(within(&grid, &pts, q, r), brute(&pts, q, r));
+        }
+    }
+
+    #[test]
+    fn extreme_coordinates_still_build() {
+        for far in [1e300, f64::MAX, f64::INFINITY, f64::NAN] {
+            let pts = vec![Point::new(0.0, 0.0), Point::new(0.1, far)];
+            let grid = FlatGrid::build(&pts, 0.1);
+            assert!(grid.cols * grid.rows <= 2 * pts.len() + 64, "far = {far}");
+            assert!(within(&grid, &pts, Point::ORIGIN, 0.05).contains(&0));
+        }
     }
 
     #[test]
     fn negative_coordinates_work() {
         let pts = vec![Point::new(-1.0, -1.0), Point::new(-0.9, -1.0)];
-        let grid = FlatGrid::try_build(&pts, 0.3).expect("dense");
+        let grid = FlatGrid::build(&pts, 0.3);
         assert_eq!(
             within(&grid, &pts, Point::new(-1.0, -1.0), 0.15),
             vec![0, 1]
@@ -516,7 +458,7 @@ mod tests {
 
     #[test]
     fn empty_grid_answers_and_grows_via_rebuild_path() {
-        let grid = FlatGrid::try_build(&[], 0.5).expect("empty is dense");
+        let grid = FlatGrid::build(&[], 0.5);
         let mut out = vec![1usize];
         grid.within_into(&[], Point::ORIGIN, 10.0, &mut out);
         assert!(out.is_empty());
@@ -527,6 +469,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cell size")]
     fn zero_cell_size_panics() {
-        let _ = FlatGrid::try_build(&[], 0.0);
+        let _ = FlatGrid::build(&[], 0.0);
     }
 }

@@ -1,6 +1,6 @@
 //! The sensor network container.
 
-use crate::flat::GridIndex;
+use crate::flat::FlatGrid;
 use crate::node::{NodeId, SensorNode};
 use laacad_geom::Point;
 
@@ -21,9 +21,9 @@ use laacad_geom::Point;
 /// [`Network::one_hop_neighbors`], the multihop ring machinery) works
 /// through `&Network`. That is what lets the synchronous round engine
 /// compute every node's local view from one shared snapshot across
-/// worker threads. The index layout is a [`GridIndex`]: the dense flat
-/// grid when the cloud is dense enough, the hash grid otherwise — query
-/// results are bit-identical either way.
+/// worker threads. The index is a [`FlatGrid`] with cell size `γ`,
+/// coarsened when the cloud is too sparse for it — query results are
+/// exact at any cell size.
 ///
 /// # Example
 ///
@@ -41,7 +41,7 @@ pub struct Network {
     sensing_radius: Vec<f64>,
     distance_moved: Vec<f64>,
     gamma: f64,
-    grid: GridIndex,
+    grid: FlatGrid,
     /// Odometry of nodes that have since been removed (kept so that
     /// movement-energy totals survive node failures).
     retired_distance: f64,
@@ -63,7 +63,7 @@ impl Network {
             sensing_radius: Vec::new(),
             distance_moved: Vec::new(),
             gamma,
-            grid: GridIndex::build(&[], gamma.max(1e-9)),
+            grid: FlatGrid::build(&[], gamma.max(1e-9)),
             retired_distance: 0.0,
         }
     }
@@ -78,16 +78,11 @@ impl Network {
         net
     }
 
-    /// Whether the flat dense grid layout is currently active.
-    pub fn uses_flat_grid(&self) -> bool {
-        self.grid.is_flat()
-    }
-
     /// Rebuilds the spatial index from the current positions — the O(N)
-    /// recovery path the flat layout falls back on when a mutation
-    /// escapes its bounding box or overflows a cell.
+    /// recovery path when a mutation escapes the grid's bounding box or
+    /// overflows a cell.
     fn rebuild_grid(&mut self) {
-        self.grid = GridIndex::build(&self.positions, self.gamma.max(1e-9));
+        self.grid = FlatGrid::build(&self.positions, self.gamma.max(1e-9));
     }
 
     /// Adds a node, returning its id. The spatial index is extended in
@@ -171,7 +166,7 @@ impl Network {
     }
 
     /// Moves a batch of nodes at once, maintaining odometry and feeding
-    /// the spatial index one move-delta batch ([`GridIndex::apply_moves`])
+    /// the spatial index one move-delta batch ([`FlatGrid::apply_moves`])
     /// instead of per-node calls. Results are identical to calling
     /// [`Network::move_node`] per entry.
     pub fn apply_displacements(&mut self, moves: &[(NodeId, Point)]) {
@@ -364,7 +359,7 @@ impl Network {
         );
         assert_eq!(positions.len(), sensing_radius.len());
         assert_eq!(positions.len(), distance_moved.len());
-        let grid = GridIndex::build(&positions, gamma.max(1e-9));
+        let grid = FlatGrid::build(&positions, gamma.max(1e-9));
         Network {
             positions,
             sensing_radius,
@@ -494,31 +489,32 @@ mod tests {
     }
 
     #[test]
-    fn dense_clouds_use_the_flat_grid_and_match_the_hash_grid() {
-        let positions: Vec<Point> = (0..50)
+    fn queries_match_brute_force_on_dense_and_sparse_clouds() {
+        let dense: Vec<Point> = (0..50)
             .map(|i| Point::new((i % 10) as f64 * 0.1, (i / 10) as f64 * 0.1))
             .collect();
-        let mut net = Network::from_positions(0.15, positions.iter().copied());
-        assert!(net.uses_flat_grid());
-        let hash = crate::spatial::SpatialGrid::build(&positions, 0.15);
-        let mut expect = Vec::new();
-        for (i, &p) in positions.iter().enumerate() {
-            hash.within_into(&positions, p, 0.15, &mut expect);
-            expect.retain(|&j| j != i);
-            let got: Vec<usize> = net
-                .one_hop_neighbors(NodeId(i))
-                .iter()
-                .map(|n| n.0)
-                .collect();
-            assert_eq!(got, expect);
+        let sparse = vec![
+            Point::new(0.0, 0.0),
+            Point::new(0.05, 0.0),
+            Point::new(1e3, 1e3),
+        ];
+        for positions in [dense, sparse] {
+            let mut net = Network::from_positions(0.15, positions.iter().copied());
+            for (i, &p) in positions.iter().enumerate() {
+                let expect: Vec<usize> = (0..positions.len())
+                    .filter(|&j| j != i && positions[j].distance(p) <= 0.15 + 1e-9)
+                    .collect();
+                let got: Vec<usize> = net
+                    .one_hop_neighbors(NodeId(i))
+                    .iter()
+                    .map(|n| n.0)
+                    .collect();
+                assert_eq!(got, expect);
+            }
+            // A move that escapes the grid's bounding box transparently
+            // rebuilds; queries stay correct.
+            net.move_node(NodeId(0), Point::new(4.0, 4.0));
+            assert_eq!(net.nodes_within(Point::new(4.0, 4.0), 0.1), vec![NodeId(0)]);
         }
-        // A move that escapes the flat bounding box transparently
-        // rebuilds; queries stay correct.
-        net.move_node(NodeId(0), Point::new(4.0, 4.0));
-        assert_eq!(net.nodes_within(Point::new(4.0, 4.0), 0.1), vec![NodeId(0)]);
-        // Two far-flung clusters are too sparse for a dense cell array:
-        // the network falls back to the hash grid.
-        let sparse = Network::from_positions(0.1, [Point::new(0.0, 0.0), Point::new(1e3, 1e3)]);
-        assert!(!sparse.uses_flat_grid());
     }
 }

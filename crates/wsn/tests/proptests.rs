@@ -4,7 +4,6 @@ use laacad_geom::transform::procrustes;
 use laacad_geom::Point;
 use laacad_wsn::mds::classical_mds;
 use laacad_wsn::multihop::ring_neighborhood;
-use laacad_wsn::spatial::SpatialGrid;
 use laacad_wsn::{FlatGrid, Network, NodeId};
 use proptest::prelude::*;
 
@@ -19,26 +18,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn spatial_grid_matches_brute_force(
+    fn flat_grid_matches_brute_force_under_moves(
         pts in points(1, 80),
-        qx in -0.2f64..1.2, qy in -0.2f64..1.2,
-        r in 0.0f64..0.8,
-        cell in 0.05f64..0.5,
-    ) {
-        let grid = SpatialGrid::build(&pts, cell);
-        let q = Point::new(qx, qy);
-        let got = grid.within(&pts, q, r);
-        let expect: Vec<usize> = (0..pts.len())
-            .filter(|&i| pts[i].distance(q) <= r + 1e-9)
-            .collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn flat_grid_matches_hash_grid(
-        pts in points(1, 80),
+        outlier in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 0..2),
         moves in prop::collection::vec(
-            (0usize..80, 0.0f64..1.0, 0.0f64..1.0),
+            (0usize..82, 0.0f64..1.0, 0.0f64..1.0),
             0..12,
         ),
         queries in prop::collection::vec(
@@ -47,15 +31,13 @@ proptest! {
         ),
         cell in 0.05f64..0.5,
     ) {
-        // The flat layout must be observationally identical to the hash
-        // layout under any interleaving of batched moves and queries:
-        // `within` returns byte-identical sorted index lists throughout.
-        let mut pts_flat = pts.clone();
-        let mut pts_hash = pts;
-        let flat = FlatGrid::try_build(&pts_flat, cell);
-        prop_assume!(flat.is_some()); // sparse clouds fall back to hash
-        let mut flat = flat.unwrap();
-        let mut hash = SpatialGrid::build(&pts_hash, cell);
+        // Under any interleaving of batched moves and queries, `within`
+        // returns exactly the brute-force index list — also when an
+        // outlier makes the build coarsen its cell.
+        let mut pts = pts;
+        pts.extend(outlier.iter().map(|&(x, y)| Point::new(x, y)));
+        let mut grid = FlatGrid::build(&pts, cell);
+        let mut got = Vec::new();
         for (chunk, &(qx, qy, r)) in queries.iter().enumerate() {
             // Interleave: apply a slice of the move batch before each query.
             let lo = chunk * moves.len() / queries.len();
@@ -66,21 +48,23 @@ proptest! {
             let mut seen = std::collections::HashSet::new();
             let batch: Vec<(usize, Point, Point)> = moves[lo..hi]
                 .iter()
-                .filter(|(i, _, _)| *i < pts_flat.len() && seen.insert(*i))
-                .map(|&(i, x, y)| (i, pts_flat[i], Point::new(x, y)))
+                .filter(|(i, _, _)| *i < pts.len() && seen.insert(*i))
+                .map(|&(i, x, y)| (i, pts[i], Point::new(x, y)))
                 .collect();
-            let ok = flat.apply_moves(batch.iter().copied().inspect(|&(i, _, new)| {
-                pts_flat[i] = new;
+            let ok = grid.apply_moves(batch.iter().copied().inspect(|&(i, _, new)| {
+                pts[i] = new;
             }));
-            hash.apply_moves(batch.iter().copied().inspect(|&(i, _, new)| {
-                pts_hash[i] = new;
-            }));
-            prop_assume!(ok); // a move out of the flat bbox forces a rebuild
-            prop_assert_eq!(&pts_flat, &pts_hash);
+            if !ok {
+                // A move out of the bounding box or a full cell: the
+                // owner rebuilds, exactly as `Network` does.
+                grid = FlatGrid::build(&pts, cell);
+            }
             let q = Point::new(qx, qy);
-            let got = flat.within(&pts_flat, q, r);
-            let expect = hash.within(&pts_hash, q, r);
-            prop_assert_eq!(got, expect);
+            let expect: Vec<usize> = (0..pts.len())
+                .filter(|&i| pts[i].distance(q) <= r + 1e-9)
+                .collect();
+            grid.within_into(&pts, q, r, &mut got);
+            prop_assert_eq!(&got, &expect);
         }
     }
 
